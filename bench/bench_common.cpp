@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 namespace svmsim::bench {
 
@@ -24,7 +25,17 @@ Options Options::parse(int argc, char** argv) {
     std::stringstream ss(*apps_arg);
     std::string item;
     while (std::getline(ss, item, ',')) {
-      if (!item.empty()) opt.app_names.push_back(item);
+      if (item.empty()) continue;
+      // The registry is the one list of names: an unknown one is a usage
+      // error here, not an uncaught throw from the first sweep point.
+      try {
+        (void)apps::make_app(item, apps::Scale::kTiny);
+      } catch (const std::invalid_argument&) {
+        std::fprintf(stderr, "%s: unknown --apps value '%s'\n",
+                     opt.prog.c_str(), item.c_str());
+        std::exit(2);
+      }
+      opt.app_names.push_back(item);
     }
   } else {
     opt.app_names = apps::suite();
@@ -80,18 +91,6 @@ Options Options::parse(int argc, char** argv) {
     std::fprintf(stderr, "%s: bad architecture parameter: %s\n",
                  opt.prog.c_str(), err.c_str());
     std::exit(kExitBadArch);
-  }
-  const std::string window = cli.get_or("pdes-window", "");
-  if (window == "fixed") {
-    opt.pdes_window = WindowPolicy::kFixed;
-  } else if (window == "adaptive") {
-    opt.pdes_window = WindowPolicy::kAdaptive;
-  } else if (!window.empty()) {
-    std::fprintf(stderr,
-                 "unknown --pdes-window value '%s' "
-                 "(expected adaptive or fixed)\n",
-                 window.c_str());
-    std::exit(2);
   }
   // Jobs x par_cores threads run at once: when PDES mode is on, shrink the
   // default job count so the machine is not oversubscribed. An explicit
@@ -162,7 +161,6 @@ std::vector<harness::SweepPoint> suite_points(
       checked_topology(opt.prog.c_str(), p.cfg.topology,
                        p.cfg.comm.node_count());
       p.cfg.par_cores = opt.par_cores;
-      p.cfg.pdes_window = opt.pdes_window;
       p.cfg.trace = opt.trace;
       if (opt.trace.enabled) {
         // Each point is its own Machine/run: give each its own trace file.

@@ -3,7 +3,8 @@
 // Every bench accepts:
 //   --scale=tiny|small|large   problem sizes (default small)
 //   --csv=<dir>                also dump machine-readable CSV
-//   --apps=a,b,c               restrict to a subset of the suite
+//   --apps=a,b,c               restrict to a subset of the suite (an
+//                              unknown name exits 2)
 //   --jobs=N                   run up to N simulation points concurrently
 //                              (default: hardware concurrency; 1 = serial)
 //   --trace=<file>             record a binary event trace per sweep point
@@ -16,16 +17,12 @@
 //                              byte-identical to serial). The default job
 //                              count shrinks to hardware/N so the two levels
 //                              of parallelism do not oversubscribe.
-//   --pdes-window=adaptive|fixed
-//                              window-end policy for --par-cores runs
-//                              (default adaptive; fixed is the original
-//                              one-lookahead window, kept for A/B runs —
-//                              results are byte-identical either way)
 //   --topology=crossbar|fattree:<k>|torus:<X>x<Y>[x<Z>]
-//                              interconnect backend for every sweep point
-//                              (default: the legacy contention-free
-//                              crossbar; see docs/topology.md). Malformed
-//                              or unfitting specs exit kExitBadTopology.
+//                              interconnect for every sweep point (default
+//                              crossbar, the paper's contention-free
+//                              network, also spelled legacy; see
+//                              docs/topology.md). Malformed or unfitting
+//                              specs exit kExitBadTopology.
 //   --link-bytes-per-cycle=F / --wire-latency=N
 //                              override the corresponding ArchParams
 //                              fields; values ArchParams::validate()
@@ -107,8 +104,6 @@ struct Options {
   std::vector<std::string> app_names;
   int jobs = 1;
   int par_cores = 1;    ///< SimConfig::par_cores for every sweep point
-  /// SimConfig::pdes_window for every sweep point (--pdes-window).
-  WindowPolicy pdes_window = SimConfig{}.pdes_window;
   /// SimConfig::topology for every sweep point (--topology=crossbar|
   /// fattree:k|torus:XxY[xZ]; default legacy). Malformed specs exit
   /// kExitBadTopology at parse time; fit against the cluster size is

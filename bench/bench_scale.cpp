@@ -24,8 +24,7 @@
 //
 //   ./bench_scale [--procs=16,64,256,1024] [--par-cores=4] [--seed=3]
 //                 [--scale=tiny] [--out=BENCH_sweep.json]
-//                 [--max-regression-16=F] [--min-speedup-256=X]
-//                 [--min-eps-ratio-256=R]
+//                 [--max-regression-16=F] [--min-eps-ratio-256=R]
 //
 // Gates (exit 1 when violated):
 //   --max-regression-16=F   serial events/sec on the sync/hlrc arm at 16
@@ -33,19 +32,10 @@
 //                           value. Self-disables (with a note) when the
 //                           previous file lacks a scale section — the first
 //                           run on a fresh checkout must succeed.
-//   --min-speedup-256=X     serial events/sec on the sync/hlrc arm at 256
-//                           procs must be >= X x the previous file's value
-//                           (the "≥2x at 256 procs" acceptance gate).
-//                           Self-disables like --max-regression-16.
 //   --min-eps-ratio-256=R   eps(256)/eps(16) on the sync/hlrc serial arm
 //                           must be >= R. Within-run, so it never
 //                           self-disables: a reintroduced O(P) hot path
 //                           drags the ratio down on any machine.
-//
-// --prev-eps-16=N / --prev-eps-256=N override the previous-file reference
-// values for the two vs-previous gates. CI uses these to pin the pre-PR
-// baseline measurements (recorded in .github/workflows/ci.yml) on runners
-// that start from a fresh checkout with no BENCH_sweep.json.
 //
 // Exit status is also nonzero if any parallel run differs from its serial
 // run or any run fails validation.
@@ -200,7 +190,6 @@ int main(int argc, char** argv) {
       std::max(2, static_cast<int>(cli.get_int("par-cores", 4)));
   const std::string out_path = cli.get_or("out", "BENCH_sweep.json");
   const double max_regression_16 = cli.get_double("max-regression-16", 0.0);
-  const double min_speedup_256 = cli.get_double("min-speedup-256", 0.0);
   const double min_eps_ratio_256 = cli.get_double("min-eps-ratio-256", 0.0);
 
   const SimConfig base = bench::base_config();
@@ -267,10 +256,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Previous numbers (if any) for the regression gates. Degrade gracefully:
+  // Previous numbers (if any) for the regression gate. Degrade gracefully:
   // a missing file or one without a scale section only disables the
-  // vs-previous gates.
-  std::optional<double> prev_eps16, prev_eps256;
+  // vs-previous gate.
+  std::optional<double> prev_eps16;
   std::string prev_text;
   {
     std::ifstream prev(out_path);
@@ -279,11 +268,8 @@ int main(int argc, char** argv) {
       ss << prev.rdbuf();
       prev_text = ss.str();
       prev_eps16 = scale_number(prev_text, "gate_eps_16");
-      prev_eps256 = scale_number(prev_text, "gate_eps_256");
     }
   }
-  if (auto v = cli.get_double("prev-eps-16", 0.0); v > 0) prev_eps16 = v;
-  if (auto v = cli.get_double("prev-eps-256", 0.0); v > 0) prev_eps256 = v;
 
   // The gate anchors: serial events/sec on the sync/hlrc arm.
   auto gate_eps = [&](int procs) -> std::optional<double> {
@@ -371,20 +357,6 @@ int main(int argc, char** argv) {
                    "bench_scale: events/sec at 16 procs regressed %.0f -> "
                    "%.0f, past the --max-regression-16=%.2f gate\n",
                    *prev_eps16, *eps16, max_regression_16);
-      gates_ok = false;
-    }
-  }
-  if (min_speedup_256 > 0 && eps256) {
-    if (!prev_eps256) {
-      std::fprintf(stderr,
-                   "bench_scale: no previous scale section in %s; skipping "
-                   "the --min-speedup-256 gate\n",
-                   out_path.c_str());
-    } else if (*eps256 < min_speedup_256 * *prev_eps256) {
-      std::fprintf(stderr,
-                   "bench_scale: events/sec at 256 procs %.0f is below %.2fx "
-                   "the previous %.0f (--min-speedup-256 gate)\n",
-                   *eps256, min_speedup_256, *prev_eps256);
       gates_ok = false;
     }
   }

@@ -13,22 +13,19 @@
 //
 //   ./extra_topology [--procs=64,256,1024] [--seed=3] [--scale=tiny]
 //                    [--par-cores=4] [--out=BENCH_sweep.json]
-//                    [--max-regression=F] [--prev-crossbar-eps-16=N]
+//                    [--max-regression=F]
 //
 // Results merge into BENCH_sweep.json as a "topology" section (schema 1),
 // preserving every other tool's section.
 //
 // Gates (exit 1 when violated):
-//  - the crossbar backend must produce bit-identical results to the legacy
-//    network at every size (baseline point) — the topology layer must not
-//    perturb the original model;
 //  - at the smallest size, every topology's baseline must be bit-identical
 //    between serial and --par-cores=N (the PDES determinism contract now
 //    extended to per-hop link state);
 //  - every run must validate;
 //  - crossbar events/sec at 16 procs must stay within --max-regression of
-//    --prev-crossbar-eps-16 (or the previous file's gate_crossbar_eps_16).
-//    Self-disables with a note when no reference exists, like bench_scale.
+//    the previous file's gate_crossbar_eps_16. Self-disables with a note
+//    when no reference exists, like bench_scale.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -69,13 +66,13 @@ Timed timed_run(const std::string& app, apps::Scale scale,
   return t;
 }
 
-/// Serial and PDES runs (or legacy and crossbar runs) must be bit-identical;
-/// Stats::operator== covers breakdowns, counters and per-link occupancy.
+/// Serial and PDES runs must be bit-identical; Stats::operator== covers
+/// breakdowns, counters and per-link occupancy.
 bool same_run(const RunResult& a, const RunResult& b) {
   return a.time == b.time && a.events == b.events && a.stats == b.stats;
 }
 
-/// Aggregated link occupancy of one run (zero for legacy/crossbar).
+/// Aggregated link occupancy of one run (zero for the crossbar).
 struct LinkSummary {
   std::uint64_t links = 0;
   std::uint64_t grants = 0;
@@ -207,7 +204,6 @@ int main(int argc, char** argv) {
   };
 
   std::vector<Point> points;
-  bool crossbar_identical = true;
   bool par_identical = true;
   bool all_validated = true;
   const int smallest = *std::min_element(procs_list.begin(), procs_list.end());
@@ -221,12 +217,6 @@ int main(int argc, char** argv) {
     const std::vector<std::string> topos = {
         "crossbar", "fattree:" + std::to_string(fat_tree_arity(nodes)),
         "torus:" + std::to_string(tx) + "x" + std::to_string(ty)};
-
-    // The legacy-network reference for the crossbar identity gate.
-    std::fprintf(stderr, "extra_topology: procs=%d (%d nodes) legacy ref\n",
-                 procs, nodes);
-    const Timed legacy_ref = timed_run(app, scale, size_cfg);
-    all_validated &= legacy_ref.result.validated;
 
     for (const std::string& topo_name : topos) {
       const auto spec = topo::Spec::parse(topo_name);
@@ -252,26 +242,16 @@ int main(int argc, char** argv) {
         p.validated = p.serial.result.validated;
         all_validated &= p.validated;
 
-        if (std::string(prm.name) == "base") {
-          if (cfg.topology.kind == topo::Kind::kCrossbar &&
-              !same_run(legacy_ref.result, p.serial.result)) {
+        if (std::string(prm.name) == "base" && procs == smallest) {
+          SimConfig pcfg = cfg;
+          pcfg.par_cores = par_cores;
+          const Timed par = timed_run(app, scale, pcfg);
+          if (!same_run(p.serial.result, par.result)) {
             std::fprintf(stderr,
-                         "extra_topology: crossbar backend differs from the "
-                         "legacy network at %d procs\n",
-                         procs);
-            crossbar_identical = false;
-          }
-          if (procs == smallest) {
-            SimConfig pcfg = cfg;
-            pcfg.par_cores = par_cores;
-            const Timed par = timed_run(app, scale, pcfg);
-            if (!same_run(p.serial.result, par.result)) {
-              std::fprintf(stderr,
-                           "extra_topology: %s serial vs --par-cores=%d "
-                           "differ at %d procs\n",
-                           topo_name.c_str(), par_cores, procs);
-              par_identical = false;
-            }
+                         "extra_topology: %s serial vs --par-cores=%d "
+                         "differ at %d procs\n",
+                         topo_name.c_str(), par_cores, procs);
+            par_identical = false;
           }
         }
         points.push_back(std::move(p));
@@ -280,7 +260,7 @@ int main(int argc, char** argv) {
   }
 
   // The regression-gate anchor: crossbar events/sec at the paper's machine
-  // size, always measured so the pinned CI gate sees a fresh number.
+  // size, always measured so the next run's gate has a reference.
   std::fprintf(stderr, "extra_topology: crossbar eps anchor at 16 procs\n");
   SimConfig anchor_cfg = base;
   anchor_cfg.topology = *topo::Spec::parse("crossbar");
@@ -298,9 +278,6 @@ int main(int argc, char** argv) {
       prev_text = ss.str();
       prev_eps = topo_number(prev_text, "gate_crossbar_eps_16");
     }
-  }
-  if (auto v = cli.get_double("prev-crossbar-eps-16", 0.0); v > 0) {
-    prev_eps = v;
   }
 
   std::ostringstream section;
@@ -327,8 +304,6 @@ int main(int argc, char** argv) {
   }
   section << "\n    ]"
           << ",\n    \"gate_crossbar_eps_16\": " << crossbar_eps_16
-          << ",\n    \"crossbar_identical\": "
-          << (crossbar_identical ? "true" : "false")
           << ",\n    \"par_identical\": " << (par_identical ? "true" : "false")
           << ",\n    \"validated\": " << (all_validated ? "true" : "false")
           << "\n  }";
@@ -378,17 +353,11 @@ int main(int argc, char** argv) {
       gates_ok = false;
     }
   }
-  if (!crossbar_identical) {
-    std::fprintf(stderr,
-                 "extra_topology: crossbar/legacy results differ (the "
-                 "topology layer perturbed the original model)\n");
-  }
   if (!par_identical) {
     std::fprintf(stderr, "extra_topology: serial/parallel results differ\n");
   }
   if (!all_validated) {
     std::fprintf(stderr, "extra_topology: a run failed validation\n");
   }
-  return crossbar_identical && par_identical && all_validated && gates_ok ? 0
-                                                                          : 1;
+  return par_identical && all_validated && gates_ok ? 0 : 1;
 }

@@ -4,26 +4,15 @@
 // and heap-allocation rate (allocs/event), machine-readably.
 //
 // A second arm measures the PDES mode (docs/engine.md): one run of
-// --pdes-app, serial vs --par-cores=<pdes-cores> partition worker threads,
-// the parallel run once per window policy (adaptive, then fixed). All three
-// must be bit-identical; the speedup, per-partition event counts and
-// per-policy conservative-window statistics (windows, windows/sec,
-// events per partition-window) land in the "pdes" section of the JSON.
-// A third arm re-runs the fig05 host-overhead matrix under --par-cores with
-// both window policies and records the suite-wide window totals
-// ("pdes_fig05" section) — the adaptive-window win on the paper's own
-// parameter sweep, not just on the stress workload.
-//   --pdes-min-speedup=X gates the adaptive speedup (exit 1 below X); it
-//     needs a hardware thread per partition worker to be meaningful and
-//     self-disables on smaller machines.
-//   --pdes-min-window-reduction=X gates fixed_windows/adaptive_windows on
-//     the --pdes-app run (exit 1 below X). Window counts are deterministic
-//     (they depend only on the configuration, never on wall-clock timing),
-//     so this gate never self-disables.
+// --pdes-app, serial vs --par-cores=<pdes-cores> partition worker threads.
+// Both must be bit-identical; the speedup, per-partition event counts and
+// conservative-window statistics (windows, windows/sec, events per
+// partition-window) land in the "pdes" section of the JSON. A third arm
+// re-runs the fig05 host-overhead matrix under --par-cores and records the
+// suite-wide window total ("pdes_fig05" section).
 //
 //   ./perf_selfcheck [--scale=tiny] [--jobs=N] [--apps=a,b,c]
 //                    [--pdes-app=fft] [--pdes-cores=4] [--pdes-scale=large]
-//                    [--pdes-min-speedup=X] [--pdes-min-window-reduction=X]
 //                    [--out=BENCH_sweep.json]
 //
 // If the output file already exists with a compatible schema, the previous
@@ -132,9 +121,9 @@ std::uint64_t total_windows(const std::vector<AppRun>& runs) {
   return w;
 }
 
-/// One --par-cores run of the PDES arm under a given window policy, with the
-/// derived per-window rates the "pdes" JSON section reports.
-struct PolicyRun {
+/// The --par-cores run of the PDES arm, with the derived per-window rates
+/// the "pdes" JSON section reports.
+struct ParRun {
   svmsim::RunResult result;
   Measurement m;
 
@@ -165,8 +154,8 @@ std::optional<double> json_number_after(const std::string& text,
 }
 
 /// The schema version this program writes. v2 added the top-level "schema"
-/// tag itself and the shared "micro_event_queue" section (see
-/// micro_event_queue.cpp); files without the tag predate v2. v3 added the
+/// tag itself and a shared scheduler-microbenchmark section; files without
+/// the tag predate v2. v3 added the
 /// "pdes" section (node-partitioned parallel simulation). v4 split the
 /// "pdes" parallel numbers into per-window-policy subsections (adaptive vs
 /// fixed, with windows, windows_per_sec and events_per_partition_window)
@@ -176,8 +165,10 @@ std::optional<double> json_number_after(const std::string& text,
 /// invariant tracked at --pdes-procs scale — and began preserving the
 /// bench_scale "scale" section across rewrites. v6 began preserving the
 /// extra_topology "topology" section (contended interconnects, src/topo/)
-/// across rewrites.
-constexpr int kSchema = 6;
+/// across rewrites. v7 dropped the fixed window policy: "pdes" carries one
+/// "parallel" subsection and "pdes_fig05" one window total, and the
+/// scheduler-microbenchmark section is gone.
+constexpr int kSchema = 7;
 
 }  // namespace
 
@@ -196,8 +187,7 @@ int main(int argc, char** argv) {
   // Previous numbers (if any) for the before/after comparison. Degrade
   // gracefully: a missing or older-schema file only skips the comparison.
   std::optional<double> prev_eps, prev_ape;
-  std::optional<std::string> micro_section, overhead_section, scale_section,
-      topology_section;
+  std::optional<std::string> overhead_section, scale_section, topology_section;
   {
     std::ifstream prev(out_path);
     if (!prev) {
@@ -222,7 +212,6 @@ int main(int argc, char** argv) {
         prev_ape = json_number_after(text, "serial", "allocs_per_event");
       }
       // Keep the other tools' sections (if any) across our rewrite.
-      micro_section = harness::json_object_section(text, "micro_event_queue");
       overhead_section = harness::json_object_section(text, "trace_overhead");
       scale_section = harness::json_object_section(text, "scale");
       topology_section = harness::json_object_section(text, "topology");
@@ -253,17 +242,13 @@ int main(int argc, char** argv) {
                              ? serial.wall_seconds / parallel.wall_seconds
                              : 0.0;
 
-  // PDES arm: one run, serial event loop vs par_cores partition workers,
-  // the parallel run once per window policy. All three runs must be
-  // bit-identical (the docs/engine.md determinism contract), so equal
-  // events make the events/sec ratio a pure wall-clock speedup and the
-  // window counts a pure measure of barrier frequency.
+  // PDES arm: one run, serial event loop vs par_cores partition workers.
+  // Both runs must be bit-identical (the docs/engine.md determinism
+  // contract), so equal events make the events/sec ratio a pure wall-clock
+  // speedup.
   const int pdes_cores =
       std::max(2, static_cast<int>(cli.get_int("pdes-cores", 4)));
   const std::string pdes_app = cli.get_or("pdes-app", "fft");
-  const double pdes_min = cli.get_double("pdes-min-speedup", 0.0);
-  const double pdes_min_reduction =
-      cli.get_double("pdes-min-window-reduction", 0.0);
   apps::Scale pdes_scale = opt.scale;
   if (auto s = cli.get("pdes-scale")) {
     pdes_scale = *s == "large"   ? apps::Scale::kLarge
@@ -293,60 +278,37 @@ int main(int argc, char** argv) {
         pdes_base.comm.procs_per_node);
   }
   std::fprintf(stderr, "perf_selfcheck: pdes arm: %s on %d procs, serial "
-               "then --par-cores=%d (adaptive, then fixed windows)\n",
+               "then --par-cores=%d\n",
                pdes_app.c_str(), pdes_base.comm.total_procs, pdes_cores);
   Measurement pdes_serial_m;
   const RunResult pdes_serial =
       timed_run(pdes_app, pdes_scale, pdes_base, pdes_serial_m);
   SimConfig pdes_cfg = pdes_base;
   pdes_cfg.par_cores = pdes_cores;
-  PolicyRun pdes_adaptive, pdes_fixed;
-  pdes_cfg.pdes_window = WindowPolicy::kAdaptive;
-  pdes_adaptive.result =
-      timed_run(pdes_app, pdes_scale, pdes_cfg, pdes_adaptive.m);
-  pdes_cfg.pdes_window = WindowPolicy::kFixed;
-  pdes_fixed.result = timed_run(pdes_app, pdes_scale, pdes_cfg, pdes_fixed.m);
-  const auto same_run = [&](const RunResult& r) {
-    return pdes_serial.time == r.time && pdes_serial.events == r.events &&
-           pdes_serial.stats == r.stats &&
-           pdes_serial.stats.counters() == r.stats.counters();
-  };
-  const bool pdes_same =
-      same_run(pdes_adaptive.result) && same_run(pdes_fixed.result);
+  ParRun pdes_par;
+  pdes_par.result = timed_run(pdes_app, pdes_scale, pdes_cfg, pdes_par.m);
+  const bool pdes_same = pdes_serial.time == pdes_par.result.time &&
+                         pdes_serial.events == pdes_par.result.events &&
+                         pdes_serial.stats == pdes_par.result.stats &&
+                         pdes_serial.stats.counters() ==
+                             pdes_par.result.stats.counters();
   const double pdes_speedup =
       pdes_serial_m.events_per_sec() > 0
-          ? pdes_adaptive.m.events_per_sec() / pdes_serial_m.events_per_sec()
-          : 0.0;
-  const double pdes_reduction =
-      pdes_adaptive.result.windows > 0
-          ? static_cast<double>(pdes_fixed.result.windows) /
-                static_cast<double>(pdes_adaptive.result.windows)
+          ? pdes_par.m.events_per_sec() / pdes_serial_m.events_per_sec()
           : 0.0;
 
   // fig05 window probe: the same host-overhead matrix as the sweep arms,
-  // under --par-cores with each window policy. The serial sweep above is
-  // the byte-identity reference; the suite-wide window totals show the
-  // adaptive win on the paper's own parameter matrix.
+  // under --par-cores. The serial sweep above is the byte-identity
+  // reference.
   std::fprintf(stderr,
-               "perf_selfcheck: fig05 probe: %zu points at --par-cores=%d "
-               "(adaptive, then fixed windows)\n",
+               "perf_selfcheck: fig05 probe: %zu points at --par-cores=%d\n",
                points.size(), pdes_cores);
   auto par_points = points;
   for (auto& p : par_points) p.cfg.par_cores = pdes_cores;
-  for (auto& p : par_points) p.cfg.pdes_window = WindowPolicy::kAdaptive;
-  std::vector<AppRun> fig_adaptive_runs;
-  measure(fig_adaptive_runs, par_points, opt.scale, nullptr);
-  for (auto& p : par_points) p.cfg.pdes_window = WindowPolicy::kFixed;
-  std::vector<AppRun> fig_fixed_runs;
-  measure(fig_fixed_runs, par_points, opt.scale, nullptr);
-  const std::uint64_t fig_adaptive_w = total_windows(fig_adaptive_runs);
-  const std::uint64_t fig_fixed_w = total_windows(fig_fixed_runs);
-  const bool fig_same = identical(serial_runs, fig_adaptive_runs) &&
-                        identical(serial_runs, fig_fixed_runs);
-  const double fig_reduction =
-      fig_adaptive_w > 0 ? static_cast<double>(fig_fixed_w) /
-                               static_cast<double>(fig_adaptive_w)
-                         : 0.0;
+  std::vector<AppRun> fig_par_runs;
+  measure(fig_par_runs, par_points, opt.scale, nullptr);
+  const std::uint64_t fig_windows = total_windows(fig_par_runs);
+  const bool fig_same = identical(serial_runs, fig_par_runs);
 
   std::ostringstream json;
   json << "{\n"
@@ -372,47 +334,34 @@ int main(int argc, char** argv) {
     if (prev_ape) json << ", \"allocs_per_event\": " << *prev_ape;
     json << "},\n";
   }
-  const auto policy_json = [&json](const char* name, const PolicyRun& r) {
-    json << "\"" << name << "\": {\"wall_seconds\": " << r.m.wall_seconds
-         << ", \"events_per_sec\": " << r.m.events_per_sec()
-         << ", \"allocs_per_event\": " << r.m.allocs_per_event()
-         << ", \"peak_clock_pool\": " << r.result.peak_clock_pool
-         << ", \"windows\": " << r.result.windows
-         << ", \"windows_per_sec\": " << r.windows_per_sec()
-         << ", \"events_per_partition_window\": "
-         << r.events_per_partition_window() << "}";
-  };
   json << "  \"speedup\": " << speedup << ",\n"
        << "  \"identical_results\": " << (same ? "true" : "false") << ",\n"
        << "  \"pdes\": {\"app\": \"" << pdes_app << "\""
        << ", \"procs\": " << pdes_base.comm.total_procs
        << ", \"par_cores\": " << pdes_cores
-       << ", \"partitions\": " << pdes_adaptive.result.partition_events.size()
+       << ", \"partitions\": " << pdes_par.result.partition_events.size()
        << ", \"serial_wall_seconds\": " << pdes_serial_m.wall_seconds
        << ", \"serial_events_per_sec\": " << pdes_serial_m.events_per_sec()
        << ", \"serial_allocs_per_event\": " << pdes_serial_m.allocs_per_event()
        << ", \"serial_peak_clock_pool\": " << pdes_serial.peak_clock_pool
-       << ", ";
-  policy_json("adaptive", pdes_adaptive);
-  json << ", ";
-  policy_json("fixed", pdes_fixed);
-  json << ", \"window_reduction\": " << pdes_reduction
+       << ", \"parallel\": {\"wall_seconds\": " << pdes_par.m.wall_seconds
+       << ", \"events_per_sec\": " << pdes_par.m.events_per_sec()
+       << ", \"allocs_per_event\": " << pdes_par.m.allocs_per_event()
+       << ", \"peak_clock_pool\": " << pdes_par.result.peak_clock_pool
+       << ", \"windows\": " << pdes_par.result.windows
+       << ", \"windows_per_sec\": " << pdes_par.windows_per_sec()
+       << ", \"events_per_partition_window\": "
+       << pdes_par.events_per_partition_window() << "}"
        << ", \"speedup\": " << pdes_speedup << ", \"partition_events\": [";
-  for (std::size_t p = 0; p < pdes_adaptive.result.partition_events.size();
-       ++p) {
-    json << (p ? ", " : "") << pdes_adaptive.result.partition_events[p];
+  for (std::size_t p = 0; p < pdes_par.result.partition_events.size(); ++p) {
+    json << (p ? ", " : "") << pdes_par.result.partition_events[p];
   }
   json << "], \"identical_results\": " << (pdes_same ? "true" : "false")
        << "},\n"
        << "  \"pdes_fig05\": {\"par_cores\": " << pdes_cores
        << ", \"points\": " << par_points.size()
-       << ", \"adaptive_windows\": " << fig_adaptive_w
-       << ", \"fixed_windows\": " << fig_fixed_w
-       << ", \"window_reduction\": " << fig_reduction
+       << ", \"windows\": " << fig_windows
        << ", \"identical_results\": " << (fig_same ? "true" : "false") << "}";
-  if (micro_section) {
-    json << ",\n  \"micro_event_queue\": " << *micro_section;
-  }
   if (overhead_section) {
     json << ",\n  \"trace_overhead\": " << *overhead_section;
   }
@@ -459,55 +408,21 @@ int main(int argc, char** argv) {
       "pdes: %s serial %.3fs vs --par-cores=%d %.3fs -> %.2fx "
       "(%zu partitions), identical results: %s\n",
       pdes_app.c_str(), pdes_serial_m.wall_seconds, pdes_cores,
-      pdes_adaptive.m.wall_seconds, pdes_speedup,
-      pdes_adaptive.result.partition_events.size(), pdes_same ? "yes" : "NO");
+      pdes_par.m.wall_seconds, pdes_speedup,
+      pdes_par.result.partition_events.size(), pdes_same ? "yes" : "NO");
   std::printf(
       "pdes footprint: %.3f allocs/event serial, peak pooled clock bodies "
-      "%llu serial / %llu adaptive\n",
+      "%llu serial / %llu parallel\n",
       pdes_serial_m.allocs_per_event(),
       static_cast<unsigned long long>(pdes_serial.peak_clock_pool),
-      static_cast<unsigned long long>(pdes_adaptive.result.peak_clock_pool));
+      static_cast<unsigned long long>(pdes_par.result.peak_clock_pool));
+  std::printf("pdes windows: %llu (%.1f events per partition-window)\n",
+              static_cast<unsigned long long>(pdes_par.result.windows),
+              pdes_par.events_per_partition_window());
   std::printf(
-      "pdes windows: adaptive %llu vs fixed %llu (%.1fx fewer; %.1f events "
-      "per partition-window adaptive, %.1f fixed)\n",
-      static_cast<unsigned long long>(pdes_adaptive.result.windows),
-      static_cast<unsigned long long>(pdes_fixed.result.windows),
-      pdes_reduction, pdes_adaptive.events_per_partition_window(),
-      pdes_fixed.events_per_partition_window());
-  std::printf(
-      "pdes fig05 probe: adaptive %llu vs fixed %llu windows over %zu "
-      "points (%.1fx fewer), identical results: %s\n",
-      static_cast<unsigned long long>(fig_adaptive_w),
-      static_cast<unsigned long long>(fig_fixed_w), par_points.size(),
-      fig_reduction, fig_same ? "yes" : "NO");
-  if (pdes_min > 0) {
-    // The speedup gate asks for real parallel speedup, which needs a
-    // hardware thread per partition worker: on a smaller machine the
-    // measurement is still recorded but the gate cannot be meaningful.
-    if (harness::JobPool::hardware_default() <
-        static_cast<unsigned>(pdes_cores)) {
-      std::fprintf(stderr,
-                   "perf_selfcheck: %u hardware thread(s) < %d partitions; "
-                   "recording the pdes speedup but skipping the "
-                   "--pdes-min-speedup gate\n",
-                   harness::JobPool::hardware_default(), pdes_cores);
-    } else if (pdes_speedup < pdes_min) {
-      std::fprintf(stderr,
-                   "perf_selfcheck: pdes speedup %.2fx below the --pdes-min-"
-                   "speedup=%.2f gate\n", pdes_speedup, pdes_min);
-      return 1;
-    }
-  }
-  if (pdes_min_reduction > 0 && pdes_reduction < pdes_min_reduction) {
-    std::fprintf(stderr,
-                 "perf_selfcheck: pdes window reduction %.2fx (fixed %llu / "
-                 "adaptive %llu) below the --pdes-min-window-reduction=%.2f "
-                 "gate\n",
-                 pdes_reduction,
-                 static_cast<unsigned long long>(pdes_fixed.result.windows),
-                 static_cast<unsigned long long>(pdes_adaptive.result.windows),
-                 pdes_min_reduction);
-    return 1;
-  }
+      "pdes fig05 probe: %llu windows over %zu points, identical results: "
+      "%s\n",
+      static_cast<unsigned long long>(fig_windows), par_points.size(),
+      fig_same ? "yes" : "NO");
   return same && pdes_same && fig_same ? 0 : 1;
 }

@@ -1,13 +1,12 @@
-// Deterministic sweep dump for scheduler-equivalence checking.
+// Deterministic sweep dump for build- and mode-equivalence checking.
 //
 // Runs one small fixed sweep per protocol (HLRC and AURC; two apps, two
 // host-overhead points, tiny scale) and prints every observable of each run:
 // execution time, events fired, validation flag, uniprocessor baseline,
 // per-category time breakdown and the full protocol/communication counter
-// set. The output is bit-reproducible, so diffing it between two builds
-// (e.g. -DSVMSIM_SCHEDULER=tiered vs heap — see
-// tools/scheduler_equivalence.sh) proves the builds fire events in the same
-// (time, seq) order everywhere these protocols exercise the engine.
+// set. The output is bit-reproducible, so diffing it between two builds or
+// execution modes proves they fire events in the same (time, seq) order
+// everywhere these protocols exercise the engine.
 //
 // With --check-consistency every run additionally carries the shadow
 // consistency checker (src/check/); the printed observables are unchanged —
@@ -26,12 +25,11 @@
 // not a multiple of procs_per_node) — the large-machine equivalence arms of
 // tools/pdes_equivalence.sh and tools/sanitize.sh use this.
 //
-// With --topology=<spec> every run uses that interconnect backend
-// (src/topo/). The crossbar backend must leave the dump byte-identical to
-// the legacy default — tools/topology_equivalence.sh diffs exactly that —
-// while fat tree / torus runs append one "link" line per physical link
-// (occupancy counters), which the same script holds byte-identical between
-// serial and --par-cores runs.
+// With --topology=<spec> every run uses that interconnect (src/topo/).
+// "crossbar" is the default contention-free network; fat tree / torus runs
+// append one "link" line per physical link (occupancy counters), which
+// tools/topology_equivalence.sh holds byte-identical between serial and
+// --par-cores runs.
 //
 // Keep the format append-only: the equivalence check compares byte-for-byte.
 #include <algorithm>

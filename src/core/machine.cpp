@@ -81,17 +81,18 @@ Machine::Machine(const SimConfig& cfg)
     network_.set_routes(std::move(routes));
   }
 
-  if (cfg_.topology.kind != topo::Kind::kLegacy) {
-    // Throws std::invalid_argument when the spec does not fit `nodes`
-    // (bench CLIs pre-check with topo::fits and exit kExitBadTopology).
-    // Each link's FIFO server lives on the simulator of the partition that
-    // owns the link, so hop events touch it single-threaded.
-    topo_ = topo::make_topology(
-        cfg_.topology, cfg_.arch, nodes, [this](NodeId n) -> engine::Simulator& {
-          return sims_[static_cast<std::size_t>(partition_of_node(n))];
-        });
+  // Null for the contention-free crossbar. Throws std::invalid_argument
+  // when the spec does not fit `nodes` (bench CLIs pre-check with
+  // topo::fits and exit kExitBadTopology). Each link's FIFO server lives on
+  // the simulator of the partition that owns the link, so hop events touch
+  // it single-threaded.
+  topo_ = topo::make_topology(
+      cfg_.topology, cfg_.arch, nodes, [this](NodeId n) -> engine::Simulator& {
+        return sims_[static_cast<std::size_t>(partition_of_node(n))];
+      });
+  if (topo_ != nullptr) {
     network_.set_topology(topo_.get());
-    if (parts_ > 1 && topo_->contended()) {
+    if (parts_ > 1) {
       std::vector<int> node_part(static_cast<std::size_t>(nodes));
       for (NodeId n = 0; n < nodes; ++n) {
         node_part[static_cast<std::size_t>(n)] = partition_of_node(n);
@@ -188,7 +189,7 @@ bool Machine::run_parallel(Cycles max_cycles) {
     // occupied resource's busy_until, plus a full pipeline per queued
     // message ahead of the first remote one (next_remote_tx_lb). A loose
     // bound only narrows the window; the WindowDriver clamps it to the
-    // fixed-policy floor.
+    // one-lookahead floor.
     // Contended-topology caveat: while this partition's queue holds
     // topology wire events (mid-route hops), a hop firing at head-of-queue
     // time can push a cross-partition record just min_latency ahead — far
@@ -236,7 +237,7 @@ bool Machine::run_parallel(Cycles max_cycles) {
   };
 
   engine::WindowDriver driver(std::move(queues), network_.min_latency(),
-                              std::move(hooks), cfg_.pdes_window);
+                              std::move(hooks));
   bool drained = false;
   try {
     drained = driver.run(max_cycles);
@@ -257,7 +258,7 @@ bool Machine::run_parallel(Cycles max_cycles) {
 }
 
 void Machine::finalize_stats() {
-  if (topo_ == nullptr || topo_->link_count() == 0) return;
+  if (topo_ == nullptr) return;
   std::vector<LinkUse> links;
   links.reserve(topo_->link_count());
   for (std::size_t i = 0; i < topo_->link_count(); ++i) {

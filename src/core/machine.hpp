@@ -139,8 +139,8 @@ class Machine {
   [[nodiscard]] topo::Topology* topology() noexcept { return topo_.get(); }
 
   /// Copy per-link occupancy out of the topology into stats().links() (a
-  /// no-op for legacy/crossbar, which model no links). Called by the runner
-  /// after the run; safe to call repeatedly.
+  /// no-op on the contention-free network, which models no links). Called
+  /// by the runner after the run; safe to call repeatedly.
   void finalize_stats();
 
  private:

@@ -169,11 +169,9 @@ struct SimConfig {
   CommParams comm;
 
   /// Interconnect topology (src/topo/, --topology). The default kLegacy is
-  /// the paper's contention-free crossbar on the original code path;
-  /// kCrossbar simulates the identical machine through the topology
-  /// backend (byte-identical results — tools/topology_equivalence.sh);
-  /// fat tree and torus change *what* is simulated: routes are multi-hop
-  /// and links contend, so times and Stats legitimately differ.
+  /// the paper's contention-free crossbar; fat tree and torus change *what*
+  /// is simulated: routes are multi-hop and links contend, so times and
+  /// Stats legitimately differ.
   topo::Spec topology;
 
   /// Diagnostics/ablation switches used by the paper's guided simulations
@@ -188,20 +186,6 @@ struct SimConfig {
   /// Deliberately not part of CommParams: it changes how the simulation is
   /// executed, never what is simulated, so describe()/sweep keys ignore it.
   int par_cores = 1;
-
-  /// Window-end policy for the PDES mode: adaptive (the default) stretches
-  /// each window to the earliest possible cross-partition send plus the
-  /// lookahead; fixed reproduces the original one-lookahead windows. Like
-  /// par_cores this changes how the simulation is executed, never what is
-  /// simulated — results are byte-identical under either policy — so
-  /// describe()/sweep keys ignore it. Building with
-  /// -DSVMSIM_PDES_WINDOW=fixed flips the compiled-in default.
-  WindowPolicy pdes_window =
-#ifdef SVMSIM_PDES_WINDOW_FIXED
-      WindowPolicy::kFixed;
-#else
-      WindowPolicy::kAdaptive;
-#endif
 
   /// Event-recorder settings (src/trace/). Never affects simulated time:
   /// results are byte-identical with tracing on or off.

@@ -90,9 +90,9 @@ struct Counters {
 };
 
 /// Per-physical-link occupancy for contended topology runs (src/topo/):
-/// one row per directed link, filled by Machine::finalize_stats. Empty for
-/// the legacy network and the crossbar backend, so legacy Stats (and their
-/// byte-identity diffs) are untouched. `kind` is a topo::LinkKind value
+/// one row per directed link, filled by Machine::finalize_stats. Empty on
+/// the contention-free network, so its Stats (and their byte-identity
+/// diffs) are untouched. `kind` is a topo::LinkKind value
 /// (topo::to_string decodes it).
 struct LinkUse {
   std::int32_t id = 0;

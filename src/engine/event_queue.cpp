@@ -8,7 +8,7 @@
 namespace svmsim::engine::detail {
 
 // ---------------------------------------------------------------------------
-// Wire-band arbitration (shared by both backends)
+// Wire-band arbitration
 //
 // Offers the arbiter one alternative per delivery channel — the channel's
 // earliest pending event, in the band's fire order — and, when it picks
@@ -81,91 +81,6 @@ bool arbitrate_wire(std::vector<WireEvent>& wire, WireArbiter& arb) {
   }
   std::make_heap(wire.begin(), wire.end(), WireFiresLater{});
   return true;
-}
-
-// ---------------------------------------------------------------------------
-// HeapScheduler
-// ---------------------------------------------------------------------------
-
-std::vector<HeapScheduler::Event>& HeapScheduler::spare_slot() {
-  // One drained event vector per thread, recycled across scheduler
-  // lifetimes so consecutive runs (a sweep on this thread) reuse warmed-up
-  // capacity instead of regrowing from zero. thread_local keeps the parallel
-  // sweep executor's workers from ever sharing storage.
-  thread_local std::vector<Event> spare;
-  return spare;
-}
-
-HeapScheduler::HeapScheduler() : heap_(std::move(spare_slot())) {
-  heap_.clear();
-  if (heap_.capacity() < 256) heap_.reserve(256);
-}
-
-HeapScheduler::~HeapScheduler() {
-  heap_.clear();
-  if (heap_.capacity() > spare_slot().capacity()) {
-    spare_slot() = std::move(heap_);
-  }
-}
-
-void HeapScheduler::schedule_at(Cycles when, Action action) {
-  assert(when >= now_ && "cannot schedule an event in the past");
-  heap_.push_back(Event{when, next_seq_++, std::move(action)});
-  std::push_heap(heap_.begin(), heap_.end(), FiresLater{});
-}
-
-void HeapScheduler::schedule_wire(Cycles when, std::uint64_t key,
-                                  Action action) {
-  assert(when > now_ && "wire events must be strictly in the future");
-  wire_.push_back(WireEvent{when, key, 0, std::move(action)});
-  std::push_heap(wire_.begin(), wire_.end(), WireFiresLater{});
-}
-
-void HeapScheduler::fire_wire() {
-  std::pop_heap(wire_.begin(), wire_.end(), WireFiresLater{});
-  WireEvent ev = std::move(wire_.back());
-  wire_.pop_back();
-  now_ = ev.when;
-  ++fired_;
-  if (arbiter_ != nullptr) [[unlikely]] arbiter_->on_wire_fire(ev.key);
-  ev.action();
-}
-
-HeapScheduler::Event HeapScheduler::pop_top() {
-  std::pop_heap(heap_.begin(), heap_.end(), FiresLater{});
-  Event ev = std::move(heap_.back());
-  heap_.pop_back();
-  return ev;
-}
-
-bool HeapScheduler::step() {
-  if (arbiter_ != nullptr && wire_first()) [[unlikely]] {
-    arbitrate_wire(wire_, *arbiter_);
-  }
-  if (wire_first()) {
-    fire_wire();
-    return true;
-  }
-  if (heap_.empty()) return false;
-  Event ev = pop_top();
-  now_ = ev.when;
-  ++fired_;
-  ev.action();
-  return true;
-}
-
-void HeapScheduler::run_until_idle() {
-  while (step()) {
-  }
-}
-
-bool HeapScheduler::run_until(Cycles deadline) {
-  for (;;) {
-    const Cycles next = next_time();
-    if (next == kNever) return true;
-    if (next > deadline) return false;
-    step();
-  }
 }
 
 // ---------------------------------------------------------------------------

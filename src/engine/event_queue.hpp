@@ -4,29 +4,22 @@
 // events fire in insertion order, which keeps every simulation run
 // bit-reproducible regardless of scheduler internals.
 //
-// Two interchangeable backends implement the same contract (see
-// docs/engine.md):
+// detail::TieredScheduler implements the contract (see docs/engine.md): a
+// three-tier scheduler shaped around the simulator's scheduling profile: a
+// zero/now-delay FIFO lane for same-tick resumptions (resource grants,
+// trigger fires, yields), a 4-level x 256-slot hierarchical timing wheel for
+// the short fixed latencies that make up nearly all remaining events, and a
+// small binary heap for the rare events the wheel cannot index (far-future
+// deadlines beyond the wheel horizon, and out-of-band inserts behind the
+// wheel cursor). No comparator runs on the hot path.
 //
-//  * detail::TieredScheduler (the default) — a three-tier scheduler shaped
-//    around the simulator's scheduling profile: a zero/now-delay FIFO lane
-//    for same-tick resumptions (resource grants, trigger fires, yields), a
-//    4-level x 256-slot hierarchical timing wheel for the short fixed
-//    latencies that make up nearly all remaining events, and a small binary
-//    heap for the rare events the wheel cannot index (far-future deadlines
-//    beyond the wheel horizon, and out-of-band inserts behind the wheel
-//    cursor). No comparator runs on the hot path.
+// Hot-path notes: callbacks are stored in a small-buffer-optimized
+// InlineAction (no per-event heap allocation for typical captures) and
+// drained storage is recycled through a thread-local spare slot so
+// back-to-back simulations on one thread skip the allocator warm-up
+// entirely.
 //
-//  * detail::HeapScheduler — the original single std::push_heap/pop_heap
-//    binary heap, kept compilable behind -DSVMSIM_SCHEDULER=heap (CMake) for
-//    A/B measurement and differential testing.
-//
-// Hot-path notes shared by both: callbacks are stored in a
-// small-buffer-optimized InlineAction (no per-event heap allocation for
-// typical captures) and drained storage is recycled through a thread-local
-// spare slot so back-to-back simulations on one thread skip the allocator
-// warm-up entirely.
-//
-// Wire band: besides the (time, seq) order, both backends carry a second
+// Wire band: besides the (time, seq) order, the scheduler carries a second
 // priority class for cross-node packet deliveries, scheduled with
 // schedule_wire(when, key). Wire events order by (time, key) — the key is
 // derived from packet content (dst node, src node, NI index, per-link
@@ -85,25 +78,6 @@ class WireArbiter {
 
 namespace detail {
 
-/// One scheduled event. The inline capacity of 24 bytes covers the captures
-/// the simulator's hot resumption paths create (a coroutine handle, or this
-/// + a handle or two) while keeping the event at 64 bytes — one cache line;
-/// larger workload captures fall back to one heap allocation.
-struct SchedulerEvent {
-  Cycles when = 0;
-  std::uint64_t seq = 0;
-  BasicInlineAction<24> action;
-};
-
-/// Heap comparator: "a fires later than b" in the (time, seq) total order.
-struct FiresLater {
-  bool operator()(const SchedulerEvent& a,
-                  const SchedulerEvent& b) const noexcept {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
-};
-
 /// A wire-band event: a cross-node packet delivery ordered by (time, defer,
 /// key) instead of (time, seq). See the file comment for why the key is
 /// content-derived. `defer` is 0 everywhere except under a WireArbiter,
@@ -136,131 +110,6 @@ struct WireFiresLater {
 /// re-compare wire-vs-normal band priority: deferral can push the wire head
 /// past pending (time, seq) events).
 bool arbitrate_wire(std::vector<WireEvent>& wire, WireArbiter& arb);
-
-/// The original binary-heap scheduler: one std::vector driven by
-/// std::push_heap/pop_heap, O(log n) comparator churn per event.
-class HeapScheduler {
- public:
-  using Action = BasicInlineAction<24>;
-
-  HeapScheduler();
-  ~HeapScheduler();
-
-  HeapScheduler(const HeapScheduler&) = delete;
-  HeapScheduler& operator=(const HeapScheduler&) = delete;
-
-  /// Current simulated time. Advances only inside run()/step().
-  [[nodiscard]] Cycles now() const noexcept { return now_; }
-
-  /// Schedule `action` to run at absolute time `when` (must be >= now()).
-  void schedule_at(Cycles when, Action action);
-
-  /// Schedule `action` to run `delay` cycles from now.
-  void schedule_in(Cycles delay, Action action) {
-    schedule_at(now_ + delay, std::move(action));
-  }
-
-  /// Schedule `action` at the current time (equivalent to schedule_in(0)).
-  void schedule_now(Action action) { schedule_at(now_, std::move(action)); }
-
-  /// Schedule a wire-band event at absolute time `when` (must be strictly
-  /// after now()): fires before any (time, seq) event at the same time,
-  /// ordered among wire events by `key`. See the file comment.
-  void schedule_wire(Cycles when, std::uint64_t key, Action action);
-
-  /// Splice a whole batch of wire-band records in one call: append every
-  /// (when, key, item) entry, then restore the band's heap invariant once —
-  /// O(n + band) instead of n individual O(log band) pushes. This is the
-  /// PDES drain path for a TimedChannel batch; entries are moved from and
-  /// must be strictly in the future.
-  template <typename Batch>
-  void schedule_wire_batch(Batch& batch) {
-    if (batch.empty()) return;
-    wire_.reserve(wire_.size() + batch.size());
-    for (auto& e : batch) {
-      assert(e.when > now_ && "wire events must be strictly in the future");
-      wire_.push_back(WireEvent{e.when, e.key, 0, std::move(e.item)});
-    }
-    std::make_heap(wire_.begin(), wire_.end(), WireFiresLater{});
-  }
-
-  /// Install (or clear, with nullptr) the wire-band choice hook. Serial
-  /// explorer-mode only; see WireArbiter.
-  void set_wire_arbiter(WireArbiter* arb) noexcept { arbiter_ = arb; }
-
-  /// Pre-size the event storage (events, not bytes).
-  void reserve(std::size_t events) { heap_.reserve(events); }
-
-  [[nodiscard]] bool empty() const noexcept { return pending() == 0; }
-  [[nodiscard]] std::size_t pending() const noexcept {
-    return heap_.size() + wire_.size();
-  }
-  [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
-
-  /// Time of the earliest pending event (either band), or kNever if idle.
-  /// Never fires anything and never moves now().
-  [[nodiscard]] Cycles next_time() const noexcept {
-    Cycles next = kNever;
-    if (!heap_.empty()) next = heap_.front().when;
-    if (!wire_.empty() && wire_.front().when < next) next = wire_.front().when;
-    return next;
-  }
-
-  /// Conservative lower bound on the earliest time an event fired from this
-  /// queue could launch a cross-partition send, given that every send costs
-  /// at least `floor` cycles of host/NI processing between the event that
-  /// posts it and its first packet reaching the wire: head-of-queue time
-  /// plus the floor (saturating), or kNever ("unbounded") when idle — the
-  /// adaptive PDES window query (docs/engine.md, "PDES mode"). Pass
-  /// floor = 0 when a send is already mid-pipeline and only the bare
-  /// head-of-queue bound is sound.
-  [[nodiscard]] Cycles next_send_bound(Cycles floor) const noexcept {
-    const Cycles t = next_time();
-    if (t == kNever) return t;
-    return t >= kNever - floor ? kNever : t + floor;
-  }
-
-  /// Run a single event; returns false if none pending.
-  bool step();
-
-  /// Run until no events remain.
-  void run_until_idle();
-
-  /// Run until no events remain or simulated time would exceed `deadline`.
-  /// Returns true if the queue drained, false if the deadline stopped it.
-  bool run_until(Cycles deadline);
-
-  /// Drop all pending events without running them. Used when tearing down a
-  /// simulation that stopped early: scheduled closures may hold pooled
-  /// references, which must die before the pools they point into.
-  void clear() noexcept {
-    heap_.clear();
-    wire_.clear();
-  }
-
- private:
-  using Event = SchedulerEvent;
-
-  /// Pop the earliest event off the heap (caller checked non-empty).
-  Event pop_top();
-
-  /// True if the wire band holds the next event to fire (ties go to wire).
-  [[nodiscard]] bool wire_first() const noexcept {
-    if (wire_.empty()) return false;
-    return heap_.empty() || wire_.front().when <= heap_.front().when;
-  }
-  void fire_wire();
-
-  /// Per-thread recycled event storage (see event_queue.cpp).
-  static std::vector<Event>& spare_slot();
-
-  std::vector<Event> heap_;
-  std::vector<WireEvent> wire_;  // min-heap by (when, defer, key)
-  WireArbiter* arbiter_ = nullptr;
-  Cycles now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t fired_ = 0;
-};
 
 /// The tiered scheduler: zero-delay FIFO lane + hierarchical timing wheel +
 /// overflow heap, all serving the same (time, seq) total order.
@@ -369,9 +218,14 @@ class TieredScheduler {
   [[nodiscard]] Cycles next_time();
 
   /// Conservative lower bound on the earliest time an event fired from this
-  /// queue could launch a cross-partition send — see
-  /// HeapScheduler::next_send_bound for the contract (non-const here only
-  /// because next_time() may sweep the wheel cursor).
+  /// queue could launch a cross-partition send, given that every send costs
+  /// at least `floor` cycles of host/NI processing between the event that
+  /// posts it and its first packet reaching the wire: head-of-queue time
+  /// plus the floor (saturating), or kNever ("unbounded") when idle — the
+  /// adaptive PDES window query (docs/engine.md, "PDES mode"). Pass
+  /// floor = 0 when a send is already mid-pipeline and only the bare
+  /// head-of-queue bound is sound. Non-const only because next_time() may
+  /// sweep the wheel cursor.
   [[nodiscard]] Cycles next_send_bound(Cycles floor) {
     const Cycles t = next_time();
     if (t == kNever) return t;
@@ -512,13 +366,6 @@ class TieredScheduler {
 
 }  // namespace detail
 
-// -DSVMSIM_SCHEDULER=heap (CMake) swaps the simulator back onto the binary
-// heap for A/B measurement and differential testing; see
-// tools/scheduler_equivalence.sh.
-#ifdef SVMSIM_SCHEDULER_HEAP
-using EventQueue = detail::HeapScheduler;
-#else
 using EventQueue = detail::TieredScheduler;
-#endif
 
 }  // namespace svmsim::engine

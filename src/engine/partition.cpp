@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -19,38 +18,36 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-/// A sense-reversing combining barrier with two wait strategies: the sense
-/// is a generation counter, and the crossing carries the window protocol's
-/// two min-reductions — each arriver folds its (next, send) bounds into a
-/// pair of atomic accumulators on the way in, so opening a window costs one
-/// synchronization point instead of the previous sync + quiesce pair.
+/// A sense-reversing combining barrier: the sense is a generation counter,
+/// and the crossing carries the window protocol's two min-reductions — each
+/// arriver folds its (next, send) bounds into a pair of atomic accumulators
+/// on the way in, so opening a window costs one synchronization point.
 ///
-/// Wait strategy: the simulation crosses one barrier per window, and a
-/// futex-parked barrier costs microseconds per sync — more than the event
-/// work a small window holds. When every partition thread can own a
-/// hardware thread the barrier spins (~100ns per 4-thread sync); when the
-/// machine is oversubscribed it parks on a condition variable instead,
-/// because a spin loop that must be scheduled out to let the last arriver
-/// in turns every sync into a storm of yields.
+/// Wait strategy: the simulation crosses one barrier per window, and a parked
+/// wait costs microseconds per sync — more than the event work a small
+/// window holds — so a waiter first spins for a bounded number of
+/// iterations (~100ns per 4-thread sync when every partition owns a core),
+/// then parks on the generation counter (std::atomic::wait). The bound keeps
+/// an oversubscribed machine (concurrent PDES runs, a --jobs pool) from
+/// starving the last arriver of the core it needs to complete the crossing.
 ///
-/// Reuse safety (single instance): the completion's writes — including the
-/// accumulator resets — are sequenced before the generation bump, and a
-/// thread can only re-arrive (re-fold, re-increment) after observing that
-/// bump, so generation g+1's folds never race generation g's reset. A
-/// thread still spinning in generation g cannot be overtaken either: the
-/// next completion needs all n arrivals, including the spinner's own, which
-/// it can only make after leaving g.
+/// Reuse safety: the completion's writes — including the accumulator resets
+/// — are sequenced before the generation bump, and a thread can only
+/// re-arrive (re-fold, re-increment) after observing that bump, so
+/// generation g+1's folds never race generation g's reset. A thread still
+/// waiting in generation g cannot be overtaken either: the next completion
+/// needs all n arrivals, including the waiter's own, which it can only make
+/// after leaving g.
 ///
-/// Ordering (spin path): the relaxed CAS folds are sequenced before the
-/// arrival's fetch_add(acq_rel), which joins the counter's release
-/// sequence, so the last arriver's increment synchronizes with every
-/// earlier one — the completion reads all folds and pre-barrier writes. Its
-/// own writes are released by the generation bump and acquired by each
-/// waiter's spin load. (Blocking path: the mutex orders everything; the
-/// folds are sequenced before each thread's critical section.)
+/// Ordering: the relaxed CAS folds are sequenced before the arrival's
+/// fetch_add(acq_rel), which joins the counter's release sequence, so the
+/// last arriver's increment synchronizes with every earlier one — the
+/// completion reads all folds and pre-barrier writes. Its own writes are
+/// released by the generation bump and acquired by each waiter's spin load
+/// or wait.
 class CombiningBarrier {
  public:
-  CombiningBarrier(int n, bool spin) noexcept : n_(n), spin_(spin) {}
+  explicit CombiningBarrier(int n) noexcept : n_(n) {}
 
   /// Fold (next, send) into the crossing's min-reduction and block until
   /// all n threads arrive; the last to arrive runs
@@ -60,31 +57,27 @@ class CombiningBarrier {
   void arrive_and_wait(Cycles next, Cycles send, F&& completion) noexcept {
     fold(next_min_, next);
     fold(send_min_, send);
-    if (spin_) {
-      const std::uint64_t gen = gen_.load(std::memory_order_acquire);
-      if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
-        finish(completion);
-        gen_.store(gen + 1, std::memory_order_release);
-      } else {
-        while (gen_.load(std::memory_order_acquire) == gen) cpu_relax();
-      }
+    const std::uint64_t gen = gen_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+      finish(completion);
+      gen_.store(gen + 1, std::memory_order_release);
+      gen_.notify_all();
       return;
     }
-    std::unique_lock<std::mutex> lk(mu_);
-    const std::uint64_t gen = gen_.load(std::memory_order_relaxed);
-    if (arrived_.fetch_add(1, std::memory_order_relaxed) + 1 == n_) {
-      finish(completion);
-      gen_.store(gen + 1, std::memory_order_relaxed);
-      lk.unlock();
-      cv_.notify_all();
-    } else {
-      cv_.wait(lk, [this, gen] {
-        return gen_.load(std::memory_order_relaxed) != gen;
-      });
+    for (int i = 0; i < kSpinIterations; ++i) {
+      if (gen_.load(std::memory_order_acquire) != gen) return;
+      cpu_relax();
     }
+    gen_.wait(gen, std::memory_order_acquire);
   }
 
  private:
+  // Long enough to cover a crossing when every partition owns a core, short
+  // enough (a few microseconds) that an oversubscribed waiter yields its
+  // core quickly. On a 4-core host, 2^8 beat both 2^6 and 2^10 on the
+  // pdes_equivalence run alone and under ctest -j4.
+  static constexpr int kSpinIterations = 1 << 8;
+
   static void fold(std::atomic<Cycles>& acc, Cycles v) noexcept {
     Cycles cur = acc.load(std::memory_order_relaxed);
     while (v < cur &&
@@ -102,23 +95,19 @@ class CombiningBarrier {
   }
 
   const int n_;
-  const bool spin_;
   std::atomic<int> arrived_{0};
   std::atomic<std::uint64_t> gen_{0};
   std::atomic<Cycles> next_min_{kNever};
   std::atomic<Cycles> send_min_{kNever};
-  std::mutex mu_;
-  std::condition_variable cv_;
 };
 
 }  // namespace
 
 WindowDriver::WindowDriver(std::vector<EventQueue*> queues, Cycles lookahead,
-                           Hooks hooks, WindowPolicy policy)
+                           Hooks hooks)
     : queues_(std::move(queues)),
       lookahead_(lookahead),
-      hooks_(std::move(hooks)),
-      policy_(policy) {
+      hooks_(std::move(hooks)) {
   assert(!queues_.empty());
   assert(lookahead_ >= 1 && "conservative windows need positive lookahead");
 }
@@ -150,29 +139,21 @@ bool WindowDriver::run(Cycles max_cycles) {
       stop_ = true;  // next event beyond the horizon: deadline, not drained
       return;
     }
-    // Adaptive: nothing can cross a partition boundary before
-    // min(send) + L, so the window stretches that far — quiescent phases
-    // (send_min == kNever) collapse into one window to the horizon. A
-    // published send bound may sit below next_min (a NIC's launch bound
-    // goes stale while its dequeue event is still queued), but no send can
-    // actually predate the head-of-queue event, so clamping to next_min
-    // keeps the window sound, guarantees progress, and makes the fixed
-    // policy's [T, T + L) the conservative floor.
-    const Cycles base = policy_ == WindowPolicy::kFixed
-                            ? next_min
-                            : std::max(next_min, send_min);
+    // Nothing can cross a partition boundary before min(send) + L, so the
+    // window stretches that far — quiescent phases (send_min == kNever)
+    // collapse into one window to the horizon. A published send bound may
+    // sit below next_min (a NIC's launch bound goes stale while its dequeue
+    // event is still queued), but no send can actually predate the
+    // head-of-queue event, so clamping to next_min keeps the window sound,
+    // guarantees progress, and makes [T, T + L) the conservative floor.
+    const Cycles base = std::max(next_min, send_min);
     const Cycles end =
         base >= kNever - lookahead_ ? kNever : base + lookahead_;
     // Never fire past max_cycles (matches serial run_until semantics).
     window_end_ = end - 1 < max_cycles ? end : max_cycles + 1;
     ++windows_;
   };
-  // Spin only when every partition worker can plausibly own a hardware
-  // thread; a concurrent --jobs pool shares the same budget (bench_common
-  // divides the default job count by par_cores for exactly this reason).
-  const bool spin =
-      std::thread::hardware_concurrency() >= static_cast<unsigned>(parts);
-  CombiningBarrier barrier(parts, spin);
+  CombiningBarrier barrier(parts);
 
   auto capture = [&](std::exception_ptr e) {
     const std::lock_guard<std::mutex> g(error_mu);

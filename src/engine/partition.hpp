@@ -10,9 +10,8 @@
 //      next cross-partition *send* (kNever when provably none is pending),
 //   2. crosses one combining barrier that min-reduces both bounds while
 //      threads arrive; the last arriver opens the window [T, E) with
-//      T = min(next) and E = min(send) + L under the adaptive policy or
-//      E = T + L under the fixed policy, L being the network's minimum
-//      inter-node latency (the lookahead),
+//      T = min(next) and E = max(T, min(send)) + L, L being the network's
+//      minimum inter-node latency (the lookahead),
 //   3. *drains* every sealed incoming batch into its scheduler's wire band
 //      and runs its queue up to E - 1; the next publish closes the window.
 //
@@ -93,8 +92,7 @@ class WindowDriver {
     std::function<void(int)> worker_end;
   };
 
-  WindowDriver(std::vector<EventQueue*> queues, Cycles lookahead, Hooks hooks,
-               WindowPolicy policy = WindowPolicy::kAdaptive);
+  WindowDriver(std::vector<EventQueue*> queues, Cycles lookahead, Hooks hooks);
 
   /// Run all partitions until globally idle or until the next window would
   /// start beyond `max_cycles`. Returns true if the queues drained (mirrors
@@ -106,13 +104,10 @@ class WindowDriver {
   /// by perf_selfcheck).
   [[nodiscard]] std::uint64_t windows() const noexcept { return windows_; }
 
-  [[nodiscard]] WindowPolicy policy() const noexcept { return policy_; }
-
  private:
   std::vector<EventQueue*> queues_;
   Cycles lookahead_;
   Hooks hooks_;
-  WindowPolicy policy_;
 
   // Per-run window state: written only by the combining barrier's completion
   // function and read by workers after the crossing, which is all the

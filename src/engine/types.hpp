@@ -20,15 +20,4 @@ inline constexpr Cycles kNever = ~Cycles{0};
 using NodeId = int;
 using ProcId = int;
 
-/// How the PDES WindowDriver chooses each window's end (docs/engine.md,
-/// "PDES mode"): adaptive windows stretch to the earliest possible
-/// cross-partition send plus lookahead; fixed windows are always exactly one
-/// lookahead wide. Fixed is the escape hatch (-DSVMSIM_PDES_WINDOW=fixed
-/// flips the compiled default, SimConfig::pdes_window selects at runtime);
-/// results are byte-identical under either policy.
-enum class WindowPolicy {
-  kAdaptive,
-  kFixed,
-};
-
 }  // namespace svmsim

@@ -17,8 +17,8 @@ class Table {
   /// Render to stdout.
   void print() const;
   /// Write as CSV to `path` (parent directory must exist). The first line
-  /// is a `# build: ...` provenance comment (git revision, scheduler
-  /// backend, sanitize/trace gates); data rows start at line 2.
+  /// is a `# build: ...` provenance comment (git revision, sanitize/trace
+  /// gates); data rows start at line 2.
   void write_csv(const std::string& path) const;
 
   [[nodiscard]] std::string to_string() const;

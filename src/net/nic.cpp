@@ -245,7 +245,7 @@ engine::Task<void> Nic::rx_loop() {
 }
 
 void Network::transmit(Packet p, Cycles now) {
-  if (topo_ != nullptr && topo_->contended()) {
+  if (topo_ != nullptr) {
     transmit_routed(std::move(p), now);
     return;
   }

@@ -219,20 +219,15 @@ class Network {
     hop_pool_.set_thread_safe(true);
   }
 
-  /// Install a topology backend (src/topo/; Machine, before any traffic).
-  /// With none installed — or with the contention-free Crossbar backend —
-  /// transmit() keeps the legacy single-formula path, byte for byte.
+  /// Install a contended topology backend (src/topo/; Machine, before any
+  /// traffic). With none installed, transmit() takes the paper's
+  /// contention-free single-formula path.
   void set_topology(topo::Topology* t) noexcept { topo_ = t; }
-
-  /// True when packets traverse contended per-hop links (fat tree, torus).
-  [[nodiscard]] bool topology_contended() const noexcept {
-    return topo_ != nullptr && topo_->contended();
-  }
 
   /// PDES wiring for contended topologies: the node -> partition map. A
   /// hop event must fire on the partition owning its link, and the window
   /// protocol must know which partitions hold topology wire events (see
-  /// wire_pending). Not needed in legacy/crossbar mode.
+  /// wire_pending). Not needed on the contention-free network.
   void set_partition_map(std::vector<int> node_part, int parts) {
     node_part_ = std::move(node_part);
     wire_pending_.assign(static_cast<std::size_t>(parts), PendingCount{});
@@ -267,10 +262,9 @@ class Network {
   /// conservative window of this width can never miss a delivery. The wider
   /// the window, the fewer barrier syncs per simulated cycle.
   [[nodiscard]] Cycles min_latency() const noexcept {
-    // A topology backend owns the bound: for contended topologies it is
-    // the analytic minimum single-hop advance (every hop event schedules
-    // its successor at least that far ahead — docs/topology.md); the
-    // Crossbar backend reproduces the legacy value below.
+    // A contended topology owns the bound: the analytic minimum single-hop
+    // advance (every hop event schedules its successor at least that far
+    // ahead — docs/topology.md).
     if (topo_ != nullptr) return topo_->min_latency();
     const auto min_serialization = static_cast<Cycles>(
         static_cast<double>(arch_->packet_header_bytes) /
@@ -301,7 +295,7 @@ class Network {
   }
 
   /// True when a message from `src` to `dst` leaves the source partition
-  /// at any point. In legacy/crossbar mode that is exactly "the delivery
+  /// at any point. On the contention-free network that is exactly "the delivery
   /// travels over a TimedChannel"; on a contended topology a same-partition
   /// destination can still route over links owned by other partitions, so
   /// the whole route is inspected — the NIC's remote-pending bookkeeping
@@ -309,7 +303,7 @@ class Network {
   /// false in serial mode (no routes installed).
   [[nodiscard]] bool remote(NodeId src, NodeId dst) const noexcept {
     if (routes_.empty()) return false;
-    if (topo_ != nullptr && topo_->contended() && !node_part_.empty()) {
+    if (topo_ != nullptr && !node_part_.empty()) {
       const int ps = node_part_[static_cast<std::size_t>(src)];
       if (node_part_[static_cast<std::size_t>(dst)] != ps) return true;
       topo::Topology::RouteBuf r;

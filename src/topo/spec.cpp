@@ -22,14 +22,9 @@ int parse_pos_int(std::string_view text) {
 
 std::optional<Spec> Spec::parse(std::string_view text) {
   Spec s;
-  if (text == "legacy") {
-    s.kind = Kind::kLegacy;
-    return s;
-  }
-  if (text == "crossbar") {
-    s.kind = Kind::kCrossbar;
-    return s;
-  }
+  // "crossbar" names the paper's contention-free network, which is the
+  // legacy (default) spec.
+  if (text == "legacy" || text == "crossbar") return s;
   if (text.starts_with("fattree:")) {
     const int k = parse_pos_int(text.substr(8));
     // Arity must be even (k/2 up-ports per switch) and small enough that
@@ -68,9 +63,6 @@ std::string Spec::to_string() const {
   switch (kind) {
     case Kind::kLegacy:
       os << "legacy";
-      break;
-    case Kind::kCrossbar:
-      os << "crossbar";
       break;
     case Kind::kFatTree:
       os << "fattree:" << fat_k;

@@ -13,16 +13,15 @@
 namespace svmsim::topo {
 
 enum class Kind : std::uint8_t {
-  kLegacy = 0,  ///< the original contention-free crossbar code path
-  kCrossbar,    ///< same machine, served by the topo::Crossbar backend
+  kLegacy = 0,  ///< the paper's contention-free crossbar (no backend)
   kFatTree,     ///< k-ary fat tree, contended up/down links
   kTorus,       ///< 2D/3D torus, dimension-order routing, contended rings
 };
 
-/// Which interconnect a run simulates. kLegacy (the default) and kCrossbar
-/// describe the same contention-free machine — the crossbar backend is
-/// byte-identical to the legacy path (tools/topology_equivalence.sh) — while
-/// fat tree and torus add link-level contention (docs/topology.md).
+/// Which interconnect a run simulates. kLegacy (the default) is the paper's
+/// contention-free crossbar, parsed from "legacy" or "crossbar" and printed
+/// as "legacy"; fat tree and torus add link-level contention
+/// (docs/topology.md).
 struct Spec {
   Kind kind = Kind::kLegacy;
   int fat_k = 0;                   ///< fat tree arity; even, in [2, 64]

@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "topo/crossbar.hpp"
 #include "topo/fat_tree.hpp"
 #include "topo/torus.hpp"
 
@@ -46,7 +45,6 @@ void Topology::seal_links() noexcept {
 bool fits(const Spec& spec, int nodes) noexcept {
   switch (spec.kind) {
     case Kind::kLegacy:
-    case Kind::kCrossbar:
       return nodes >= 1;
     case Kind::kFatTree: {
       const int half = spec.fat_k / 2;
@@ -65,8 +63,7 @@ std::unique_ptr<Topology> make_topology(const Spec& spec,
                                         const SimOfNode& sim_of_node) {
   switch (spec.kind) {
     case Kind::kLegacy:
-    case Kind::kCrossbar:
-      return std::make_unique<Crossbar>(arch);
+      return nullptr;
     case Kind::kFatTree:
       return std::make_unique<FatTree>(arch, nodes, spec.fat_k, sim_of_node);
     case Kind::kTorus:

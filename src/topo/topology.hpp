@@ -20,8 +20,9 @@
 //    (latency + header serialization over the fastest link class) and is
 //    the PDES lookahead floor: a hop event firing at t schedules its
 //    successor no earlier than t + min_latency().
-//  - contended() == false (the Crossbar backend) short-circuits
-//    Network::transmit back onto the byte-identical legacy path.
+//  - Every backend is contended. The paper's contention-free crossbar is
+//    not a backend: it is the network with no Topology installed
+//    (Kind::kLegacy, also spelled --topology=crossbar).
 #pragma once
 
 #include <array>
@@ -105,9 +106,6 @@ class Topology {
   /// from src's injection link to dst's ejection link. Pure in (src, dst).
   virtual void route(NodeId src, NodeId dst, RouteBuf& out) const noexcept = 0;
 
-  /// False only for the Crossbar backend (no links, legacy transmit path).
-  [[nodiscard]] virtual bool contended() const noexcept { return true; }
-
   /// Analytic PDES lookahead floor; see the header comment.
   [[nodiscard]] Cycles min_latency() const noexcept { return min_latency_; }
 
@@ -135,12 +133,13 @@ class Topology {
 
 /// Whether `spec` can host a cluster of `nodes` nodes: fat tree capacity is
 /// k^3/4 hosts (partial trees allowed), torus extents must multiply to
-/// exactly `nodes`. kLegacy/kCrossbar fit everything.
+/// exactly `nodes`. kLegacy fits everything.
 [[nodiscard]] bool fits(const Spec& spec, int nodes) noexcept;
 
-/// Construct the backend for `spec`. Throws std::invalid_argument when the
-/// spec cannot host `nodes` nodes (callers that want an exit code instead
-/// check topo::fits first — see bench_common).
+/// Construct the backend for `spec`: nullptr for kLegacy, which needs none.
+/// Throws std::invalid_argument when the spec cannot host `nodes` nodes
+/// (callers that want an exit code instead check topo::fits first — see
+/// bench_common).
 [[nodiscard]] std::unique_ptr<Topology> make_topology(
     const Spec& spec, const ArchParams& arch, int nodes,
     const SimOfNode& sim_of_node);

@@ -217,11 +217,6 @@ std::string build_provenance() {
 #else
   s += "unknown";
 #endif
-#ifdef SVMSIM_SCHEDULER_HEAP
-  s += " scheduler=heap";
-#else
-  s += " scheduler=tiered";
-#endif
 #ifdef SVMSIM_SANITIZE_FLAGS
   s += " sanitize=";
   s += (SVMSIM_SANITIZE_FLAGS[0] != '\0') ? SVMSIM_SANITIZE_FLAGS : "off";

@@ -126,7 +126,7 @@ void write_file(const TraceFile& f, const std::string& path);
 [[nodiscard]] TraceFile read_file(const std::string& path);
 
 /// One line describing this build: git revision (when configured in),
-/// scheduler backend, sanitize/pool flags, trace compile gate.
+/// sanitize/pool flags, trace compile gate.
 [[nodiscard]] std::string build_provenance();
 
 /// The per-run recorder. Constructed by Machine when the run's

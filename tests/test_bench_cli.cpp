@@ -1,9 +1,10 @@
 // CLI-layer tests for the shared bench option parser (bench_common): the
 // --trace / --par-cores conflict must terminate with its own exit code
 // (kExitTracedParallel) and a diagnostic naming both flags and the docs,
-// and --pdes-window must parse, default, reject, and propagate into every
-// sweep point. Exit codes are part of the contract — scripts branch on
-// them — so the failure paths are exercised as death/exit tests.
+// an unknown --apps name is a usage error, and --par-cores / --topology
+// propagate into every sweep point. Exit codes are part of the contract —
+// scripts branch on them — so the failure paths are exercised as death/exit
+// tests.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -37,9 +38,20 @@ TEST(BenchCliDeathTest, TracedParallelDiagnosticPointsAtDocs) {
               "docs/tracing.md");
 }
 
-TEST(BenchCliDeathTest, UnknownWindowPolicyExitsWithUsageCode) {
-  EXPECT_EXIT(parse({"--pdes-window=bogus"}), ::testing::ExitedWithCode(2),
-              "pdes-window");
+TEST(BenchCliDeathTest, UnknownAppExitsWithUsageCode) {
+  EXPECT_EXIT(parse({"--apps=fft,nosuchapp"}), ::testing::ExitedWithCode(2),
+              "unknown --apps value 'nosuchapp'");
+}
+
+TEST(BenchCliDeathTest, MalformedStressSeedExitsWithUsageCode) {
+  EXPECT_EXIT(parse({"--apps=stress-gen@x"}), ::testing::ExitedWithCode(2),
+              "unknown --apps value 'stress-gen@x'");
+}
+
+TEST(BenchCli, KnownAppsParse) {
+  EXPECT_EQ(parse({"--apps=fft,stress-gen@7,stress-micro@3"}).app_names,
+            (std::vector<std::string>{"fft", "stress-gen@7",
+                                      "stress-micro@3"}));
 }
 
 TEST(BenchCliDeathTest, ZeroProcsExitsWithBadProcsCode) {
@@ -72,25 +84,16 @@ TEST(BenchCli, ValidProcsPassThrough) {
             kMaxTotalProcs);
 }
 
-TEST(BenchCli, WindowPolicyFlagParses) {
-  EXPECT_EQ(parse({"--pdes-window=fixed"}).pdes_window, WindowPolicy::kFixed);
-  EXPECT_EQ(parse({"--pdes-window=adaptive"}).pdes_window,
-            WindowPolicy::kAdaptive);
-  // Unset: the build's compiled-in default (SVMSIM_PDES_WINDOW).
-  EXPECT_EQ(parse({}).pdes_window, SimConfig{}.pdes_window);
-}
-
 TEST(BenchCli, TraceAloneAndParCoresAloneAreAccepted) {
   EXPECT_EQ(parse({"--par-cores=4"}).par_cores, 4);
   EXPECT_TRUE(parse({"--trace=/tmp/t.bin"}).trace.enabled);
 }
 
-TEST(BenchCli, SweepPointsCarryParCoresAndWindowPolicy) {
-  auto opt = parse({"--par-cores=2", "--pdes-window=fixed", "--apps=fft"});
+TEST(BenchCli, SweepPointsCarryParCores) {
+  auto opt = parse({"--par-cores=2", "--apps=fft"});
   auto pts = suite_points({0.0}, [](SimConfig&, double) {}, opt);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_EQ(pts[0].cfg.par_cores, 2);
-  EXPECT_EQ(pts[0].cfg.pdes_window, WindowPolicy::kFixed);
 }
 
 // ---- --topology (src/topo/): malformed or unfitting specs must exit with
@@ -149,8 +152,7 @@ TEST(BenchCliDeathTest, ZeroWireLatencyExitsWithBadArchCode) {
 
 TEST(BenchCli, TopologyFlagParsesAndPropagates) {
   EXPECT_EQ(parse({}).topology.kind, topo::Kind::kLegacy);
-  EXPECT_EQ(parse({"--topology=crossbar"}).topology.kind,
-            topo::Kind::kCrossbar);
+  EXPECT_EQ(parse({"--topology=crossbar"}).topology, topo::Spec{});
   const auto ft = parse({"--topology=fattree:8"}).topology;
   EXPECT_EQ(ft.kind, topo::Kind::kFatTree);
   EXPECT_EQ(ft.fat_k, 8);

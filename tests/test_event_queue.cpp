@@ -144,19 +144,18 @@ TEST(EventQueue, SameTickInsertionOrderDuringInFlightStep) {
 // ------------------------------------------------------- next_send_bound
 // The adaptive-window query (docs/engine.md §5): a conservative lower bound
 // on the earliest time an event fired from this queue could launch a
-// cross-partition send. Both backends must agree on the contract.
+// cross-partition send.
 
-template <typename Scheduler>
-void expect_next_send_bound_contract() {
+TEST(WireBatch, NextSendBound) {
   {
     // Empty queue: provably nothing can send, whatever the floor.
-    Scheduler q;
+    EventQueue q;
     EXPECT_EQ(q.next_send_bound(0), kNever);
     EXPECT_EQ(q.next_send_bound(1084), kNever);
   }
   {
     // Head-of-queue + floor for (time, seq) events.
-    Scheduler q;
+    EventQueue q;
     q.schedule_at(500, [] {});
     q.schedule_at(900, [] {});
     EXPECT_EQ(q.next_send_bound(0), 500u);
@@ -165,26 +164,18 @@ void expect_next_send_bound_contract() {
   {
     // A queue whose only occupancy is the wire band must still count: a
     // drained cross-partition delivery is an event that can trigger a send.
-    Scheduler q;
+    EventQueue q;
     q.schedule_wire(300, 7, [] {});
     EXPECT_EQ(q.next_send_bound(0), 300u);
     EXPECT_EQ(q.next_send_bound(50), 350u);
   }
   {
     // The bound saturates at kNever instead of wrapping.
-    Scheduler q;
+    EventQueue q;
     q.schedule_at(kNever - 10, [] {});
     EXPECT_EQ(q.next_send_bound(0), kNever - 10);
     EXPECT_EQ(q.next_send_bound(100), kNever);
   }
-}
-
-TEST(WireBatch, TieredSchedulerNextSendBound) {
-  expect_next_send_bound_contract<detail::TieredScheduler>();
-}
-
-TEST(WireBatch, HeapSchedulerNextSendBound) {
-  expect_next_send_bound_contract<detail::HeapScheduler>();
 }
 
 // ---------------------------------------------------- schedule_wire_batch
@@ -193,9 +184,8 @@ TEST(WireBatch, HeapSchedulerNextSendBound) {
 // with whatever the band already held — batching changes the transport,
 // never the delivery order.
 
-template <typename Scheduler>
-void expect_wire_batch_splice_order() {
-  Scheduler q;
+TEST(WireBatch, SplicesBatchByWhenAndKey) {
+  EventQueue q;
   std::vector<std::string> order;
   auto tag = [&order](const char* s) {
     return [&order, s] { order.push_back(s); };
@@ -206,12 +196,12 @@ void expect_wire_batch_splice_order() {
   q.schedule_wire(12, 1, tag("late-1"));
   q.schedule_at(10, tag("seq"));
 
-  TimedChannel<typename Scheduler::Action> ch;
+  TimedChannel<EventQueue::Action> ch;
   ch.push(10, 28, tag("wire-28"));
   ch.push(7, 99, tag("early-99"));
   ch.push(10, 15, tag("wire-15"));
   ch.seal();
-  ch.drain([&q](typename TimedChannel<typename Scheduler::Action>::Batch& b) {
+  ch.drain([&q](TimedChannel<EventQueue::Action>::Batch& b) {
     q.schedule_wire_batch(b);
   });
 
@@ -220,14 +210,6 @@ void expect_wire_batch_splice_order() {
             (std::vector<std::string>{"early-99", "wire-15", "wire-22",
                                       "wire-28", "seq", "late-1"}));
   EXPECT_EQ(q.events_fired(), 6u);
-}
-
-TEST(WireBatch, TieredSchedulerSplicesBatchByWhenAndKey) {
-  expect_wire_batch_splice_order<detail::TieredScheduler>();
-}
-
-TEST(WireBatch, HeapSchedulerSplicesBatchByWhenAndKey) {
-  expect_wire_batch_splice_order<detail::HeapScheduler>();
 }
 
 TEST(WireBatch, EmptyBatchIsANoOp) {

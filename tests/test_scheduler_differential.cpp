@@ -1,31 +1,94 @@
-// Differential tests between the two EventQueue backends.
+// Differential tests of the scheduler against a reference model.
 //
-// detail::HeapScheduler and detail::TieredScheduler are both always
-// compiled (the SVMSIM_SCHEDULER option only selects which one the
-// engine::EventQueue alias names), so these tests drive both side by side
-// with identical seeded-random schedule streams and assert they fire
-// events in exactly the same order — the (time, seq) total order that makes
-// simulations bit-reproducible. Alongside the random streams there are
-// directed cases for the tiered scheduler's internals: wheel-slot
-// wraparound, cascades at every level boundary, overflow past the wheel
-// horizon, the run_until() pause/insert path, and clear() dropping events
-// from every tier.
+// ModelQueue below is the EventQueue contract at its plainest: a
+// std::priority_queue over (time, seq) for ordinary events plus one over
+// (time, defer, key) for the wire band, which fires first at equal time.
+// detail::TieredScheduler is driven side by side with it on identical
+// seeded-random schedule streams, and both must fire events in exactly the
+// same order — the total order that makes simulations bit-reproducible.
+// Alongside the random streams there are directed cases for the tiered
+// scheduler's internals: wheel-slot wraparound, cascades at every level
+// boundary, overflow past the wheel horizon, the run_until() pause/insert
+// path, and clear() dropping events from every tier.
 #include "engine/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <queue>
+#include <tuple>
 #include <vector>
 
 namespace svmsim::engine {
 namespace {
 
-using detail::HeapScheduler;
 using detail::TieredScheduler;
 
-/// Deterministic LCG (MMIX constants), identical across backends.
+/// Reference model of the EventQueue ordering contract (no arbiter, so
+/// every wire event keeps defer = 0).
+class ModelQueue {
+ public:
+  using Action = std::function<void()>;
+
+  [[nodiscard]] Cycles now() const { return now_; }
+  [[nodiscard]] std::size_t pending() const {
+    return normal_.size() + wire_.size();
+  }
+  [[nodiscard]] bool empty() const { return pending() == 0; }
+
+  void schedule_at(Cycles when, Action a) {
+    normal_.push({when, 0, next_seq_++, std::move(a)});
+  }
+  void schedule_in(Cycles delay, Action a) {
+    schedule_at(now_ + delay, std::move(a));
+  }
+  void schedule_now(Action a) { schedule_at(now_, std::move(a)); }
+  void schedule_wire(Cycles when, std::uint64_t key, Action a) {
+    wire_.push({when, 0, key, std::move(a)});
+  }
+
+  bool run_until(Cycles deadline) {
+    for (;;) {
+      const bool wire =
+          !wire_.empty() &&
+          (normal_.empty() || wire_.top().when <= normal_.top().when);
+      if (!wire && normal_.empty()) return true;
+      auto& band = wire ? wire_ : normal_;
+      if (band.top().when > deadline) return false;
+      Entry e = band.top();
+      band.pop();
+      now_ = e.when;
+      e.action();
+    }
+  }
+  void run_until_idle() { run_until(kNever); }
+
+ private:
+  /// `order` is the seq for ordinary events and the key for wire events.
+  struct Entry {
+    Cycles when;
+    std::uint32_t defer;
+    std::uint64_t order;
+    Action action;
+  };
+  struct FiresLater {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return std::tie(a.when, a.defer, a.order) >
+             std::tie(b.when, b.defer, b.order);
+    }
+  };
+  using Band = std::priority_queue<Entry, std::vector<Entry>, FiresLater>;
+
+  Band normal_;
+  Band wire_;
+  Cycles now_ = 0;
+  std::uint64_t next_seq_ = 0;
+};
+
+/// Deterministic LCG (MMIX constants), identical across queues.
 struct Lcg {
   std::uint64_t s;
   std::uint64_t next() noexcept {
@@ -55,9 +118,9 @@ Cycles random_delay(Lcg& rng) {
   }
 }
 
-/// Run the seeded-random schedule program on one backend and return the
-/// fire trace: (event id, fire time) in fire order. Every fired event may
-/// spawn 0-2 successors, decided by an LCG stream shared across backends.
+/// Run the seeded-random schedule program on one queue and return the fire
+/// trace: (event id, fire time) in fire order. Every fired event may spawn
+/// 0-2 successors, decided by an LCG stream shared across queues.
 template <class Queue>
 std::vector<std::pair<std::uint64_t, Cycles>> random_trace(
     std::uint64_t seed, std::size_t initial, std::size_t cap) {
@@ -96,18 +159,18 @@ std::vector<std::pair<std::uint64_t, Cycles>> random_trace(
 
 TEST(SchedulerDifferential, RandomStreamsFireIdentically) {
   for (std::uint64_t seed : {0x1ull, 0x5eedull, 0xabcdef01ull}) {
-    const auto heap = random_trace<HeapScheduler>(seed, 64, 4000);
+    const auto model = random_trace<ModelQueue>(seed, 64, 4000);
     const auto tiered = random_trace<TieredScheduler>(seed, 64, 4000);
-    ASSERT_EQ(heap.size(), tiered.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < heap.size(); ++i) {
-      ASSERT_EQ(heap[i], tiered[i]) << "seed " << seed << " position " << i;
+    ASSERT_EQ(model.size(), tiered.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(model[i], tiered[i]) << "seed " << seed << " position " << i;
     }
   }
 }
 
 /// Same comparison across the run_until() pause/resume path: fire in
 /// deadline-bounded bursts, scheduling a fresh batch at every pause. On the
-/// tiered backend this drives the behind-the-cursor insert path (the wheel
+/// tiered scheduler this drives the behind-the-cursor insert path (the wheel
 /// may have swept ahead of now() when the deadline hit mid-tick).
 template <class Queue>
 std::vector<std::pair<std::uint64_t, Cycles>> bursty_trace(
@@ -136,11 +199,54 @@ std::vector<std::pair<std::uint64_t, Cycles>> bursty_trace(
 }
 
 TEST(SchedulerDifferential, RunUntilBurstsFireIdentically) {
-  const auto heap = bursty_trace<HeapScheduler>(0xfeedull);
+  const auto model = bursty_trace<ModelQueue>(0xfeedull);
   const auto tiered = bursty_trace<TieredScheduler>(0xfeedull);
-  ASSERT_EQ(heap.size(), tiered.size());
-  for (std::size_t i = 0; i < heap.size(); ++i) {
-    ASSERT_EQ(heap[i], tiered[i]) << "position " << i;
+  ASSERT_EQ(model.size(), tiered.size());
+  for (std::size_t i = 0; i < model.size(); ++i) {
+    ASSERT_EQ(model[i], tiered[i]) << "position " << i;
+  }
+}
+
+/// Wire-band stream: every fired event schedules ordinary successors and
+/// wire deliveries landing on the same few ticks, so equal-time collisions
+/// between the bands (wire first) and within the band (by key, not by
+/// insertion order) are the common case. Keys are unique, as packet keys
+/// are, so the order is total.
+template <class Queue>
+std::vector<std::pair<std::uint64_t, Cycles>> wire_trace(std::uint64_t seed) {
+  Queue q;
+  Lcg rng{seed};
+  std::uint64_t next_id = 0;
+  std::vector<std::pair<std::uint64_t, Cycles>> trace;
+  std::function<void()> spawn = [&] {
+    const std::uint64_t id = next_id++;
+    auto fire = [&, id] {
+      trace.emplace_back(id, q.now());
+      const std::uint64_t kids = rng.next() % 3;
+      for (std::uint64_t k = 0; k < kids && next_id < 3000; ++k) spawn();
+    };
+    const Cycles delay = 1 + rng.next() % 4;
+    if (rng.next() % 2 == 0) {
+      const std::uint64_t key = ((rng.next() % 8) << 32) | id;
+      q.schedule_wire(q.now() + delay, key, fire);
+    } else {
+      q.schedule_in(delay - rng.next() % 2, fire);
+    }
+  };
+  for (int i = 0; i < 32; ++i) spawn();
+  q.run_until_idle();
+  EXPECT_TRUE(q.empty());
+  return trace;
+}
+
+TEST(SchedulerDifferential, WireBandOrderMatchesModel) {
+  for (std::uint64_t seed : {0x2ull, 0x3a11ull}) {
+    const auto model = wire_trace<ModelQueue>(seed);
+    const auto tiered = wire_trace<TieredScheduler>(seed);
+    ASSERT_EQ(model.size(), tiered.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      ASSERT_EQ(model[i], tiered[i]) << "seed " << seed << " position " << i;
+    }
   }
 }
 

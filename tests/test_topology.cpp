@@ -2,9 +2,8 @@
 // docs/topology.md): spec parsing, the analytic min-latency lookahead
 // floor, route determinism and shape (torus hop counts are exactly the
 // wraparound Manhattan distance; fat-tree paths go up*-then-down* and never
-// repeat a link), the crossbar backend's observational inertness against
-// the legacy network, and end-to-end serial-vs-PDES identity of a
-// contended run including the per-link occupancy rows in Stats.
+// repeat a link), and end-to-end serial-vs-PDES identity of a contended run
+// including the per-link occupancy rows in Stats.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -27,8 +26,11 @@ using topo::Spec;
 // ---- Spec parsing -------------------------------------------------------
 
 TEST(TopoSpec, ParsesEveryValidForm) {
-  EXPECT_EQ(Spec::parse("legacy")->kind, Kind::kLegacy);
-  EXPECT_EQ(Spec::parse("crossbar")->kind, Kind::kCrossbar);
+  // "crossbar" names the paper's contention-free network: the default spec,
+  // which prints as "legacy".
+  EXPECT_EQ(Spec::parse("legacy"), Spec{});
+  EXPECT_EQ(Spec::parse("crossbar"), Spec{});
+  EXPECT_EQ(Spec{}.to_string(), "legacy");
 
   const auto ft = Spec::parse("fattree:4");
   ASSERT_TRUE(ft.has_value());
@@ -67,7 +69,7 @@ TEST(TopoSpec, RejectsMalformedSpecs) {
 
 TEST(TopoSpec, ToStringRoundTrips) {
   for (const char* text :
-       {"legacy", "crossbar", "fattree:8", "torus:4x4", "torus:2x4x8"}) {
+       {"legacy", "fattree:8", "torus:4x4", "torus:2x4x8"}) {
     const auto spec = Spec::parse(text);
     ASSERT_TRUE(spec.has_value()) << text;
     EXPECT_EQ(spec->to_string(), text);
@@ -86,9 +88,8 @@ TEST(TopoSpec, FitsChecksCapacityAndExactProduct) {
   EXPECT_TRUE(topo::fits(to, 16));
   EXPECT_FALSE(topo::fits(to, 8));
   EXPECT_FALSE(topo::fits(to, 17));
-  // The contention-free kinds fit everything.
+  // The contention-free network fits everything.
   EXPECT_TRUE(topo::fits(Spec{}, 1024));
-  EXPECT_TRUE(topo::fits(*Spec::parse("crossbar"), 1024));
 }
 
 // ---- Backend construction helpers ---------------------------------------
@@ -104,17 +105,10 @@ std::unique_ptr<topo::Topology> make(const char* spec, int nodes,
 
 // ---- min_latency: the PDES lookahead floor ------------------------------
 
-TEST(TopoMinLatency, CrossbarMatchesLegacyFormula) {
+TEST(TopoBackend, ContentionFreeNetworkHasNone) {
+  // The crossbar is the network with no backend installed.
   engine::Simulator sim;
-  const ArchParams arch;  // wire 100 + 32-byte header / 2.0 B/cycle = 116
-  const auto xbar = make("crossbar", 4, sim, arch);
-  EXPECT_FALSE(xbar->contended());
-  EXPECT_EQ(xbar->link_count(), 0u);
-  EXPECT_EQ(xbar->min_latency(),
-            arch.wire_latency_cycles +
-                static_cast<Cycles>(
-                    static_cast<double>(arch.packet_header_bytes) /
-                    arch.link_bytes_per_cycle));
+  EXPECT_EQ(make("crossbar", 4, sim), nullptr);
 }
 
 TEST(TopoMinLatency, ContendedFloorIsCheapestHopClass) {
@@ -129,7 +123,6 @@ TEST(TopoMinLatency, ContendedFloorIsCheapestHopClass) {
                           arch.intra_link_bytes_per_cycle);
   for (const char* spec : {"fattree:4", "torus:4x4"}) {
     const auto t = make(spec, 16, sim);
-    EXPECT_TRUE(t->contended());
     EXPECT_EQ(t->min_latency(), want) << spec;
     EXPECT_GE(t->min_latency(), 1u) << spec;
   }
@@ -239,25 +232,7 @@ TEST(TopoMachine, RejectsUnfittingTopology) {
   EXPECT_THROW(Machine{cfg}, std::invalid_argument);
 }
 
-// ---- End-to-end identities ----------------------------------------------
-
-TEST(TopoRun, CrossbarRunIsIdenticalToLegacy) {
-  SimConfig legacy;
-  auto w1 = apps::make_app("fft", apps::Scale::kTiny);
-  const RunResult a = run(*w1, legacy);
-
-  SimConfig xbar;
-  xbar.topology = *Spec::parse("crossbar");
-  auto w2 = apps::make_app("fft", apps::Scale::kTiny);
-  const RunResult b = run(*w2, xbar);
-
-  ASSERT_TRUE(a.validated);
-  ASSERT_TRUE(b.validated);
-  EXPECT_EQ(a.time, b.time);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_TRUE(a.stats == b.stats);
-  EXPECT_TRUE(b.stats.links().empty());
-}
+// ---- End-to-end runs ----------------------------------------------------
 
 TEST(TopoRun, ContendedSerialAndParallelStatsIdentical) {
   SimConfig cfg;

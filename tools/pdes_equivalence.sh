@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Prove the PDES mode is observationally inert: run sweep_dump serially and
-# at --par-cores 2 and 4 — under both the adaptive (default) and the fixed
-# window policy — and diff the output byte-for-byte. The dump covers
+# at --par-cores 2 and 4 and diff the output byte-for-byte. The dump covers
 # both protocols (HLRC and AURC), two real apps and four stress-gen seeds, so
 # a byte-identical dump means every counter, every per-processor time-
 # category breakdown and every execution time replays the serial event order
@@ -32,21 +31,13 @@ mkdir -p "$out_dir"
 apps="fft,lu,stress-gen@3,stress-gen@5,stress-gen@7,stress-gen@11"
 
 "$build_dir/bench/sweep_dump" --apps="$apps" > "$out_dir/dump-serial.txt"
-# Both window policies: adaptive is the default; --pdes-window=fixed is the
-# runtime mirror of the -DSVMSIM_PDES_WINDOW=fixed escape hatch. The window
-# policy only changes barrier placement, so every arm must stay
-# byte-identical to serial.
-for window in adaptive fixed; do
-  for cores in 2 4; do
-    "$build_dir/bench/sweep_dump" --apps="$apps" --par-cores="$cores" \
-      --pdes-window="$window" > "$out_dir/dump-par$cores-$window.txt"
-    if ! diff -u "$out_dir/dump-serial.txt" \
-         "$out_dir/dump-par$cores-$window.txt"; then
-      echo "pdes_equivalence: serial vs --par-cores=$cores" \
-        "--pdes-window=$window DIVERGES" >&2
-      exit 1
-    fi
-  done
+for cores in 2 4; do
+  "$build_dir/bench/sweep_dump" --apps="$apps" --par-cores="$cores" \
+    > "$out_dir/dump-par$cores.txt"
+  if ! diff -u "$out_dir/dump-serial.txt" "$out_dir/dump-par$cores.txt"; then
+    echo "pdes_equivalence: serial vs --par-cores=$cores DIVERGES" >&2
+    exit 1
+  fi
 done
 
 # Large-machine arm: the same byte-identity contract at 256 processors (64
@@ -77,6 +68,6 @@ fi
   --apps=stress-gen@3,stress-gen@11 --check-consistency --par-cores=4 \
   > "$out_dir/fig05-checked-par4.txt"
 
-echo "pdes_equivalence: serial == par{2,4} x {adaptive,fixed} == par4+check" \
+echo "pdes_equivalence: serial == par{2,4} == par4+check" \
   "($(wc -l < "$out_dir/dump-serial.txt") lines identical;" \
   "256-proc arm $(wc -l < "$out_dir/dump-serial-256.txt") lines identical)"

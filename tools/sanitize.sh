@@ -56,19 +56,16 @@ if [ "$mode" = "thread" ]; then
     -R 'test_(partition|ring_queue|job_pool|determinism|machine|page_directory)' \
     "$@"
   # Whole-binary PDES pass: every sweep point on 4 partition workers, with
-  # the checker's cross-thread hooks enabled (exit 1 on any violation), under
-  # both the adaptive (default) window policy and the fixed fallback — the
-  # combining barrier and the batched channels must be race-free either way.
+  # the checker's cross-thread hooks enabled (exit 1 on any violation) — the
+  # combining barrier and the batched channels must be race-free.
   "$build_dir/bench/sweep_dump" --par-cores=4 --check-consistency > /dev/null
-  "$build_dir/bench/sweep_dump" --par-cores=4 --pdes-window=fixed \
-    --check-consistency > /dev/null
   # Large-machine stress point: the sparse clock transport's pooled delta
   # bodies cross partition threads at 64 nodes here, not just at the
   # paper's 4 — encode/expand and the edge caches must be race-free too.
   "$build_dir/bench/sweep_dump" --apps=stress-gen@3 --procs=256 \
     --par-cores=4 > /dev/null
-  echo "sanitize.sh: TSan arm passed (subset + sweep_dump --par-cores=4," \
-    "adaptive and fixed windows, + 256-proc stress point)"
+  echo "sanitize.sh: TSan arm passed (subset + sweep_dump --par-cores=4" \
+    "+ 256-proc stress point)"
 else
   ctest --test-dir "$build_dir" --output-on-failure "$@"
   # Large-machine stress point under ASan/UBSan with paranoid pools: every

@@ -1,19 +1,11 @@
 #!/usr/bin/env bash
-# Prove the topology layer's two contracts (docs/topology.md):
-#
-# 1. The crossbar backend is observationally inert: sweep_dump with
-#    --topology=crossbar must be byte-identical to the legacy default —
-#    serially and at --par-cores=4 — across both protocols, two real apps
-#    and a stress-gen seed. The backend routes every packet through the
-#    topology dispatch but computes the legacy latency formula verbatim, so
-#    any divergence means the dispatch itself perturbed the model.
-#
-# 2. Contended topologies keep the PDES determinism contract: fat-tree and
-#    torus dumps at 64 processors (16 nodes) — including the per-link
-#    occupancy lines (grants/busy/wait/bytes per physical link) — must be
-#    byte-identical between serial and --par-cores=4. Hop events fire on
-#    the partitions owning their links, so this checks cross-partition
-#    event ordering through multi-hop routes, not just final deliveries.
+# Prove that contended topologies keep the PDES determinism contract
+# (docs/topology.md): fat-tree and torus dumps at 64 processors (16 nodes) —
+# including the per-link occupancy lines (grants/busy/wait/bytes per
+# physical link) — must be byte-identical between serial and --par-cores=4.
+# Hop events fire on the partitions owning their links, so this checks
+# cross-partition event ordering through multi-hop routes, not just final
+# deliveries.
 #
 #   tools/topology_equivalence.sh <build_dir>
 #
@@ -26,23 +18,7 @@ build_dir="${1:?usage: topology_equivalence.sh <build_dir>}"
 out_dir="$build_dir/topology-equivalence"
 mkdir -p "$out_dir"
 
-apps="fft,lu,stress-gen@3"
-
-# Arm 1: crossbar == legacy, byte for byte, serial and parallel.
-"$build_dir/bench/sweep_dump" --apps="$apps" > "$out_dir/dump-legacy.txt"
-for cores in 1 4; do
-  "$build_dir/bench/sweep_dump" --apps="$apps" --topology=crossbar \
-    --par-cores="$cores" > "$out_dir/dump-crossbar-par$cores.txt"
-  if ! diff -u "$out_dir/dump-legacy.txt" \
-       "$out_dir/dump-crossbar-par$cores.txt"; then
-    echo "topology_equivalence: legacy vs --topology=crossbar" \
-      "--par-cores=$cores DIVERGES" >&2
-    exit 1
-  fi
-done
-
-# Arm 2: contended topologies, serial vs --par-cores=4 at 64 procs. The
-# dumps carry one line per physical link, so the diff also proves per-hop
+# The dumps carry one line per physical link, so the diff also proves per-hop
 # link state replays identically from four partition threads.
 for topo in fattree:4 torus:4x4; do
   tag="${topo//:/-}"
@@ -61,6 +37,4 @@ for topo in fattree:4 torus:4x4; do
   fi
 done
 
-echo "topology_equivalence: crossbar == legacy (serial, par4);" \
-  "fattree:4 and torus:4x4 serial == par4" \
-  "($(wc -l < "$out_dir/dump-legacy.txt") legacy lines identical)"
+echo "topology_equivalence: fattree:4 and torus:4x4 serial == par4"
