@@ -10,7 +10,7 @@
 //
 // With --check-consistency every run additionally carries the shadow
 // consistency checker (src/check/); the printed observables are unchanged —
-// that is exactly what tools/check_equivalence.sh verifies — but the process
+// that is what tools/instrumentation_equivalence.sh verifies — but the process
 // exits 1 if any run reports a violation.
 //
 // With --par-cores=N every run executes in PDES mode on N partition worker

@@ -36,7 +36,7 @@
 //
 // The checker is passive: it never charges time, posts messages or touches
 // protocol state, so a checked run is byte-identical to an unchecked one
-// (tools/check_equivalence.sh proves it per build). Compile gate:
+// (tools/instrumentation_equivalence.sh proves it per build). Compile gate:
 // -DSVMSIM_CHECK=OFF defines SVMSIM_CHECK_DISABLED and every hook site
 // vanishes. Runtime gate: hooks null-check engine::Simulator::checker().
 // See docs/checking.md.

@@ -32,6 +32,9 @@ Machine::Machine(const SimConfig& cfg)
     // emitting concurrently would interleave nondeterministically.
     throw std::invalid_argument("tracing requires par_cores == 1");
   }
+  for (int p = 0; p < parts_; ++p) {
+    sims_[static_cast<std::size_t>(p)].set_counters(&partition_counters(p));
+  }
 #ifndef SVMSIM_TRACE_DISABLED
   if (cfg_.trace.enabled) {
     tracer_ = std::make_unique<trace::Tracer>(
@@ -111,8 +114,7 @@ Machine::Machine(const SimConfig& cfg)
     engine::ScopedFrameRegistry scope(partition_registry(p));
     nodes_.push_back(std::make_unique<Node>(
         sims_[static_cast<std::size_t>(p)], cfg_, n, cfg_.comm.procs_per_node,
-        n * cfg_.comm.procs_per_node, network_, stats_,
-        partition_counters(p)));
+        n * cfg_.comm.procs_per_node, network_, stats_));
   }
   for (NodeId n = 0; n < nodes; ++n) {
     const int p = partition_of_node(n);
@@ -123,14 +125,12 @@ Machine::Machine(const SimConfig& cfg)
       agent = std::make_unique<svm::AurcAgent>(
           sims_[static_cast<std::size_t>(p)], cfg_, n,
           cfg_.comm.procs_per_node, space_, shared_,
-          pools_[static_cast<std::size_t>(p)], nd.comm(),
-          partition_counters(p));
+          pools_[static_cast<std::size_t>(p)], nd.comm());
     } else {
       agent = std::make_unique<svm::HlrcAgent>(
           sims_[static_cast<std::size_t>(p)], cfg_, n,
           cfg_.comm.procs_per_node, space_, shared_,
-          pools_[static_cast<std::size_t>(p)], nd.comm(),
-          partition_counters(p));
+          pools_[static_cast<std::size_t>(p)], nd.comm());
     }
     agent->install();
     nd.wire(*agent);

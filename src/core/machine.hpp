@@ -144,10 +144,10 @@ class Machine {
   void finalize_stats();
 
  private:
-  /// Where a node of partition p accumulates machine-wide counters: the
-  /// global Stats directly in serial mode (bit-for-bit the pre-PDES
-  /// behavior), a per-partition staging Counters otherwise — merged by
-  /// run_parallel, which keeps the hot increments unsynchronized.
+  /// Where partition p's simulator counts protocol events: the global
+  /// Stats directly in serial mode, a per-partition staging Counters
+  /// otherwise — merged by run_parallel, which keeps the hot increments
+  /// unsynchronized.
   [[nodiscard]] Counters& partition_counters(int p) noexcept {
     return parts_ == 1 ? stats_.counters()
                        : part_counters_[static_cast<std::size_t>(p)];

@@ -9,22 +9,16 @@
 namespace svmsim {
 
 Node::Node(engine::Simulator& sim, const SimConfig& cfg, NodeId id, int procs,
-           ProcId first_proc, net::Network& network, Stats& stats,
-           Counters& counters)
-    : sim_(&sim),
-      cfg_(&cfg),
-      id_(id),
-      counters_(&counters),
-      membus_(sim, cfg.arch) {
+           ProcId first_proc, net::Network& network, Stats& stats)
+    : sim_(&sim), cfg_(&cfg), id_(id), membus_(sim, cfg.arch) {
   std::vector<net::Nic*> nic_ptrs;
   for (int k = 0; k < std::max(1, cfg.comm.nics_per_node); ++k) {
     nics_.push_back(std::make_unique<net::Nic>(sim, cfg.arch, cfg.comm, id, k,
-                                               membus_, counters));
+                                               membus_));
     network.add_nic(*nics_.back());
     nic_ptrs.push_back(nics_.back().get());
   }
-  comm_ = std::make_unique<net::NodeComm>(sim, id, std::move(nic_ptrs),
-                                          counters);
+  comm_ = std::make_unique<net::NodeComm>(sim, id, std::move(nic_ptrs));
   procs_.reserve(static_cast<std::size_t>(procs));
   for (int i = 0; i < procs; ++i) {
     const ProcId gid = first_proc + i;
@@ -56,7 +50,6 @@ void Node::wire(svm::SvmAgent& agent) {
   comm_->interrupt_dispatch =
       [this](std::function<engine::Task<void>()> body) {
         if (cfg_->comm.interrupt_scheme == InterruptScheme::kPolling) {
-          ++counters_->polled_requests;
           // No interrupt: the request sits until a processor's next poll
           // tick notices it (paper §10's polling proposal).
           const Cycles interval = std::max<Cycles>(1, cfg_->comm.poll_interval);
@@ -71,17 +64,13 @@ void Node::wire(svm::SvmAgent& agent) {
           sim_->queue().schedule_at(
               next_tick, [this, body = std::move(body)]() mutable {
                 Processor& victim = pick_interrupt_victim();
-                SVMSIM_TRACE_EVENT(*sim_, trace::Category::kIrq,
-                                   trace::Event::kPollDeliver, victim.id(),
-                                   id_, 0, 0);
+                SVMSIM_PROBE(*sim_, kPollDeliver, victim.id(), id_, 0, 0);
                 victim.service_polled(std::move(body));
               });
           return;
         }
-        ++counters_->interrupts;
         Processor& victim = pick_interrupt_victim();
-        SVMSIM_TRACE_EVENT(*sim_, trace::Category::kIrq,
-                           trace::Event::kIrqIssue, victim.id(), id_, 0, 0);
+        SVMSIM_PROBE(*sim_, kIrqIssue, victim.id(), id_, 0, 0);
         victim.service_interrupt(std::move(body));
       };
   agent.invalidate_caches = [this](std::uint64_t addr, std::uint64_t len) {

@@ -19,14 +19,11 @@ namespace svmsim {
 
 class Node {
  public:
-  /// `counters` is where this node's machine-wide counters accumulate: the
-  /// global Stats counters in serial mode, the partition's staging counters
-  /// in PDES mode (merged after the run). Per-processor breakdowns always
-  /// come from `stats` — rows are disjoint per node, so they are safe to
-  /// write from the owning partition directly.
+  /// Per-processor breakdowns come from `stats` — rows are disjoint per
+  /// node, so they are safe to write from the owning partition directly.
+  /// Machine-wide counters accumulate in sim.counters() (see SVMSIM_PROBE).
   Node(engine::Simulator& sim, const SimConfig& cfg, NodeId id, int procs,
-       ProcId first_proc, net::Network& network, Stats& stats,
-       Counters& counters);
+       ProcId first_proc, net::Network& network, Stats& stats);
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -56,7 +53,6 @@ class Node {
   engine::Simulator* sim_;
   const SimConfig* cfg_;
   NodeId id_;
-  Counters* counters_;
   memsys::MemoryBus membus_;
   std::vector<std::unique_ptr<net::Nic>> nics_;
   std::unique_ptr<net::NodeComm> comm_;

@@ -48,8 +48,8 @@ void Processor::flush_trace_spans() {
   const Cycles now = sim_->now();
   for (std::size_t i = 0; i < trace_acc_.size(); ++i) {
     if (trace_acc_[i] == 0) continue;
-    t->emit(now, trace::Category::kSched, trace::Event::kTimeSpan, id_, node_,
-            trace_acc_[i], static_cast<std::uint64_t>(i));
+    t->emit(now, trace::Event::kTimeSpan, id_, node_, trace_acc_[i],
+            static_cast<std::uint64_t>(i));
     trace_acc_[i] = 0;
   }
 #endif
@@ -78,8 +78,7 @@ engine::Task<void> Processor::interrupt_body(
   co_await body();
   const Cycles dur = sim_->now() - t0;
   steal_ += dur;
-  SVMSIM_TRACE_EVENT(*sim_, trace::Category::kIrq, trace::Event::kHandlerSpan,
-                     id_, node_, dur, entry_cost);
+  SVMSIM_PROBE(*sim_, kHandlerSpan, id_, node_, dur, entry_cost);
 }
 
 void Processor::service_interrupt(std::function<engine::Task<void>()> body) {

@@ -29,26 +29,7 @@ std::string_view to_string(TimeCat c) {
 }
 
 Counters& Counters::operator+=(const Counters& o) noexcept {
-  page_faults += o.page_faults;
-  read_faults += o.read_faults;
-  write_faults += o.write_faults;
-  page_fetches += o.page_fetches;
-  local_lock_acquires += o.local_lock_acquires;
-  remote_lock_acquires += o.remote_lock_acquires;
-  barriers += o.barriers;
-  messages_sent += o.messages_sent;
-  packets_sent += o.packets_sent;
-  bytes_sent += o.bytes_sent;
-  interrupts += o.interrupts;
-  polled_requests += o.polled_requests;
-  twins_created += o.twins_created;
-  diffs_created += o.diffs_created;
-  diff_bytes += o.diff_bytes;
-  write_notices += o.write_notices;
-  invalidations += o.invalidations;
-  updates_sent += o.updates_sent;
-  update_bytes += o.update_bytes;
-  ni_queue_overflows += o.ni_queue_overflows;
+  for (const CounterField& f : kCounterFields) this->*f.member += o.*f.member;
   return *this;
 }
 

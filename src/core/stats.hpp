@@ -89,6 +89,40 @@ struct Counters {
   bool operator==(const Counters&) const = default;
 };
 
+/// One Counters field: the member and its name. kCounterFields is the one
+/// list of the fields above, in declaration order; merging, the trace file's
+/// counter block and counter naming all iterate it.
+struct CounterField {
+  std::uint64_t Counters::*member;
+  std::string_view name;
+};
+
+inline constexpr auto kCounterFields = std::to_array<CounterField>({
+    {&Counters::page_faults, "page_faults"},
+    {&Counters::read_faults, "read_faults"},
+    {&Counters::write_faults, "write_faults"},
+    {&Counters::page_fetches, "page_fetches"},
+    {&Counters::local_lock_acquires, "local_lock_acquires"},
+    {&Counters::remote_lock_acquires, "remote_lock_acquires"},
+    {&Counters::barriers, "barriers"},
+    {&Counters::messages_sent, "messages_sent"},
+    {&Counters::packets_sent, "packets_sent"},
+    {&Counters::bytes_sent, "bytes_sent"},
+    {&Counters::interrupts, "interrupts"},
+    {&Counters::polled_requests, "polled_requests"},
+    {&Counters::twins_created, "twins_created"},
+    {&Counters::diffs_created, "diffs_created"},
+    {&Counters::diff_bytes, "diff_bytes"},
+    {&Counters::write_notices, "write_notices"},
+    {&Counters::invalidations, "invalidations"},
+    {&Counters::updates_sent, "updates_sent"},
+    {&Counters::update_bytes, "update_bytes"},
+    {&Counters::ni_queue_overflows, "ni_queue_overflows"},
+});
+static_assert(sizeof(Counters) ==
+                  kCounterFields.size() * sizeof(std::uint64_t),
+              "a Counters field is missing from kCounterFields");
+
 /// Per-physical-link occupancy for contended topology runs (src/topo/):
 /// one row per directed link, filled by Machine::finalize_stats. Empty on
 /// the contention-free network, so its Stats (and their byte-identity

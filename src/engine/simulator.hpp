@@ -13,6 +13,10 @@
 #include "engine/task.hpp"
 #include "engine/types.hpp"
 
+namespace svmsim {
+struct Counters;
+}  // namespace svmsim
+
 namespace svmsim::trace {
 class Tracer;
 }  // namespace svmsim::trace
@@ -41,9 +45,16 @@ class Simulator {
     return queue_.next_send_bound(floor);
   }
 
+  /// Where this partition's protocol events are counted: the run's Stats
+  /// counters, or the partition's staging block in PDES mode. Owned and set
+  /// by the Machine (a harness driving NICs or agents without one must set
+  /// it first); every layer reaches it through its sim_ pointer via the
+  /// SVMSIM_PROBE macro (src/trace/trace.hpp).
+  [[nodiscard]] Counters* counters() const noexcept { return counters_; }
+  void set_counters(Counters* c) noexcept { counters_ = c; }
+
   /// The run's event recorder, or nullptr when tracing is off (the common
-  /// case). Owned by the Machine; every layer reaches it through its sim_
-  /// pointer (see src/trace/trace.hpp and the SVMSIM_TRACE_EVENT macro).
+  /// case). Owned by the Machine; SVMSIM_PROBE appends to it.
   [[nodiscard]] trace::Tracer* tracer() const noexcept { return tracer_; }
   void set_tracer(trace::Tracer* t) noexcept { tracer_ = t; }
 
@@ -85,6 +96,7 @@ class Simulator {
 
  private:
   EventQueue queue_;
+  Counters* counters_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   check::Checker* checker_ = nullptr;
   ChoiceHook* choice_ = nullptr;

@@ -6,8 +6,8 @@
 namespace svmsim::net {
 
 NodeComm::NodeComm(engine::Simulator& sim, NodeId self,
-                   std::vector<Nic*> nics, Counters& counters)
-    : sim_(&sim), self_(self), nics_(std::move(nics)), counters_(&counters) {
+                   std::vector<Nic*> nics)
+    : sim_(&sim), self_(self), nics_(std::move(nics)) {
   assert(!nics_.empty());
   for (Nic* nic : nics_) {
     nic->on_message = [this](Message&& m) { dispatch(std::move(m)); };

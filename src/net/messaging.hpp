@@ -30,8 +30,7 @@ namespace svmsim::net {
 
 class NodeComm {
  public:
-  NodeComm(engine::Simulator& sim, NodeId self, std::vector<Nic*> nics,
-           Counters& counters);
+  NodeComm(engine::Simulator& sim, NodeId self, std::vector<Nic*> nics);
 
   NodeComm(const NodeComm&) = delete;
   NodeComm& operator=(const NodeComm&) = delete;
@@ -110,7 +109,6 @@ class NodeComm {
   engine::Simulator* sim_;
   NodeId self_;
   std::vector<Nic*> nics_;
-  Counters* counters_;
   std::uint64_t next_rpc_seq_ = 1;
   std::deque<PendingReply> slots_;  // deque: stable refs across slot growth
   std::vector<std::size_t> free_slots_;

@@ -10,25 +10,15 @@
 
 namespace svmsim::net {
 
-namespace {
-
-/// Shorthand: NI-context event (no acting processor => proc = -1).
-#define SVMSIM_NIC_EVENT(ev, a0, a1)                                        \
-  SVMSIM_TRACE_EVENT(*sim_, trace::Category::kNet, trace::Event::ev, -1,    \
-                     self_, (a0), (a1))
-
-}  // namespace
-
 Nic::Nic(engine::Simulator& sim, const ArchParams& arch,
          const CommParams& comm, NodeId self, int index,
-         memsys::MemoryBus& membus, Counters& counters)
+         memsys::MemoryBus& membus)
     : sim_(&sim),
       arch_(&arch),
       comm_(&comm),
       self_(self),
       index_(index),
       membus_(&membus),
-      counters_(&counters),
       iobus_(sim, comm),
       ni_tx_(sim),
       ni_rx_(sim),
@@ -91,8 +81,7 @@ engine::Task<void> Nic::post(Message m) {
   while (send_q_bytes_ + wire > arch_->ni_queue_bytes) {
     // Send queue full: the NI interrupts the main processor and delays it
     // until the queue drains; we model the delay by blocking the poster.
-    ++counters_->ni_queue_overflows;
-    SVMSIM_NIC_EVENT(kNiOverflow, 0, send_q_bytes_);
+    SVMSIM_PROBE(*sim_, kNiOverflow, -1, self_, 0, send_q_bytes_);
     send_space_.reset();
     co_await send_space_.wait();
   }
@@ -100,15 +89,12 @@ engine::Task<void> Nic::post(Message m) {
   // push_back below: its per-edge encoding order is the launch order.
   if (on_enqueue) on_enqueue(m);
   if (m.type == MsgType::kUpdate) {
-    ++counters_->updates_sent;
-    counters_->update_bytes += m.payload_bytes;
-    SVMSIM_NIC_EVENT(kUpdateSend, m.page, m.payload_bytes);
+    SVMSIM_PROBE(*sim_, kUpdateSend, -1, self_, m.page, m.payload_bytes);
   } else {
-    ++counters_->messages_sent;
-    SVMSIM_NIC_EVENT(kMsgSend,
-                     (static_cast<std::uint64_t>(m.type) << 32) |
-                         static_cast<std::uint32_t>(m.dst),
-                     wire);
+    SVMSIM_PROBE(*sim_, kMsgSend, -1, self_,
+                 (static_cast<std::uint64_t>(m.type) << 32) |
+                     static_cast<std::uint32_t>(m.dst),
+                 wire);
   }
   // Adaptive-window send bookkeeping: count the message as cross-partition
   // work in flight until its last packet is on the wire. A post still
@@ -147,7 +133,7 @@ engine::Task<void> Nic::tx_loop() {
       tx_stage_ = TxStage::kNiServe;
       leg_lb_ = sim_->now() + min_tx_;
       co_await ni_tx_.serve(comm_->ni_occupancy);
-      SVMSIM_NIC_EVENT(kNiTx, pkt_bytes, sim_->now() - ni_t0);
+      SVMSIM_PROBE(*sim_, kNiTx, -1, self_, pkt_bytes, sim_->now() - ni_t0);
       tx_stage_ = TxStage::kDma;
       // The I/O bus is FIFO and shared with the receive path: our DMA
       // completes no earlier than the already-committed backlog plus our
@@ -155,7 +141,7 @@ engine::Task<void> Nic::tx_loop() {
       leg_lb_ = std::max(sim_->now(), iobus_.committed_until()) +
                 iobus_.transfer_cycles(pkt_bytes) + mem_min_;
       co_await iobus_.dma(pkt_bytes);
-      SVMSIM_NIC_EVENT(kIoBus, pkt_bytes, 0);
+      SVMSIM_PROBE(*sim_, kIoBus, -1, self_, pkt_bytes, 0);
       tx_stage_ = TxStage::kMembus;
       // NI-out wins the next memory-bus arbitration, so our transaction
       // completes no earlier than the current grant plus arbitration plus
@@ -165,10 +151,8 @@ engine::Task<void> Nic::tx_loop() {
                 membus_->transfer_cycles(pkt_bytes);
       co_await membus_->transaction(memsys::BusMaster::kNIOut, pkt_bytes);
 
-      ++counters_->packets_sent;
-      counters_->bytes_sent += pkt_bytes;
-      SVMSIM_NIC_EVENT(kPacketTx, static_cast<std::uint64_t>(msg->dst),
-                       pkt_bytes);
+      SVMSIM_PROBE(*sim_, kPacketTx, -1, self_,
+                   static_cast<std::uint64_t>(msg->dst), pkt_bytes);
 
       Packet p;
       p.src = self_;
@@ -207,8 +191,7 @@ void Nic::packet_arrived(Packet p) {
   }
   recv_q_bytes_ += p.bytes;
   if (recv_q_bytes_ > arch_->ni_queue_bytes) {
-    ++counters_->ni_queue_overflows;
-    SVMSIM_NIC_EVENT(kNiOverflow, 1, recv_q_bytes_);
+    SVMSIM_PROBE(*sim_, kNiOverflow, -1, self_, 1, recv_q_bytes_);
   }
   recv_q_.push_back(std::move(p));
   recv_items_.release();
@@ -224,9 +207,9 @@ engine::Task<void> Nic::rx_loop() {
     // Receive-side packet processing and DMA into host memory.
     const Cycles ni_t0 = sim_->now();
     co_await ni_rx_.serve(comm_->ni_occupancy);
-    SVMSIM_NIC_EVENT(kNiRx, p.bytes, sim_->now() - ni_t0);
+    SVMSIM_PROBE(*sim_, kNiRx, -1, self_, p.bytes, sim_->now() - ni_t0);
     co_await iobus_.dma(p.bytes);
-    SVMSIM_NIC_EVENT(kIoBus, p.bytes, 1);
+    SVMSIM_PROBE(*sim_, kIoBus, -1, self_, p.bytes, 1);
     co_await membus_->transaction(memsys::BusMaster::kNIIn, p.bytes);
     recv_q_bytes_ -= p.bytes;
 
@@ -234,10 +217,10 @@ engine::Task<void> Nic::rx_loop() {
     if (p.msg->type == MsgType::kUpdate) {
       if (on_update) on_update(*p.msg);
     } else if (on_message) {
-      SVMSIM_NIC_EVENT(kMsgDeliver,
-                       (static_cast<std::uint64_t>(p.msg->type) << 32) |
-                           static_cast<std::uint32_t>(p.msg->src),
-                       wire_bytes(*p.msg));
+      SVMSIM_PROBE(*sim_, kMsgDeliver, -1, self_,
+                   (static_cast<std::uint64_t>(p.msg->type) << 32) |
+                       static_cast<std::uint32_t>(p.msg->src),
+                   wire_bytes(*p.msg));
       on_message(std::move(*p.msg));
     }
     // p.msg dropped here: the pooled slot recycles for the next message.
@@ -337,9 +320,8 @@ void Network::hop(core::PoolRef<Hop> h, Cycles now) {
   const Cycles waited = (done - ser) - now;
   L.wait_cycles += waited;
   L.bytes += h->bytes;
-  SVMSIM_TRACE_EVENT(*sim_, trace::Category::kNet, trace::Event::kLinkHop, -1,
-                     L.owner, r.link[static_cast<std::size_t>(h->next)],
-                     waited);
+  SVMSIM_PROBE(*sim_, kLinkHop, -1, L.owner,
+               r.link[static_cast<std::size_t>(h->next)], waited);
   // Hop advance = queueing + serialization + link latency >= latency +
   // header serialization >= Topology::min_latency() — the PDES lookahead
   // floor (and strictly positive, as the wire band requires).

@@ -55,7 +55,7 @@ struct Packet {
 class Nic {
  public:
   Nic(engine::Simulator& sim, const ArchParams& arch, const CommParams& comm,
-      NodeId self, int index, memsys::MemoryBus& membus, Counters& counters);
+      NodeId self, int index, memsys::MemoryBus& membus);
 
   void attach(Network& network) { network_ = &network; }
 
@@ -132,7 +132,6 @@ class Nic {
   NodeId self_;
   int index_;
   memsys::MemoryBus* membus_;
-  Counters* counters_;
   Network* network_ = nullptr;
 
   IoBus iobus_;

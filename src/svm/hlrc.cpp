@@ -14,54 +14,6 @@ namespace svmsim::svm {
 
 namespace {
 
-/// Ad-hoc stderr debugging (distinct from the src/trace/ recorder): set
-/// SVMSIM_DBG_PAGE=<page-id> to log every protocol action touching that page.
-long dbg_page() {
-  static const long page = [] {
-    const char* env = std::getenv("SVMSIM_DBG_PAGE");
-    return env ? std::atol(env) : -1;
-  }();
-  return page;
-}
-
-bool dbg_flush() {
-  static const bool on = std::getenv("SVMSIM_DBG_FLUSH") != nullptr;
-  return on;
-}
-
-long dbg_lock() {
-  static const long lock = [] {
-    const char* env = std::getenv("SVMSIM_DBG_LOCK");
-    return env ? std::atol(env) : -1;
-  }();
-  return lock;
-}
-
-#define SVMSIM_DBG_LK(lock, fmt, ...)                                        \
-  do {                                                                       \
-    if (static_cast<long>(lock) == dbg_lock()) {                             \
-      std::fprintf(stderr, "[t=%8llu node=%d lk=%d] " fmt "\n",             \
-                   static_cast<unsigned long long>(sim_->now()), self_,      \
-                   static_cast<int>(lock), ##__VA_ARGS__);                   \
-    }                                                                        \
-  } while (0)
-
-#define SVMSIM_DBG_EVT(page, fmt, ...)                                       \
-  do {                                                                       \
-    if (static_cast<long>(page) == dbg_page()) {                             \
-      std::fprintf(stderr, "[t=%8llu node=%d pg=%llu] " fmt "\n",            \
-                   static_cast<unsigned long long>(sim_->now()), self_,      \
-                   static_cast<unsigned long long>(page), ##__VA_ARGS__);    \
-    }                                                                        \
-  } while (0)
-
-/// Shorthand: protocol-agent event on the trace recorder (no-op when tracing
-/// is compiled out or the run is untraced). `proc` is the acting processor's
-/// global id, or -1 for handler/agent context.
-#define SVMSIM_AGENT_EVENT(cat, ev, proc, a0, a1)                            \
-  SVMSIM_TRACE_EVENT(*sim_, trace::Category::cat, trace::Event::ev, (proc),  \
-                     self_, (a0), (a1))
-
 using engine::Task;
 
 /// Wire size of a page install/copy in handler time (paper §2 models page
@@ -74,8 +26,7 @@ Cycles install_cycles(const ArchParams& arch, std::uint32_t page_bytes) {
 
 SvmAgent::SvmAgent(engine::Simulator& sim, const SimConfig& cfg, NodeId self,
                    int procs_on_node, AddressSpace& space, SharedState& shared,
-                   ProtocolPools& pools, net::NodeComm& comm,
-                   Counters& counters)
+                   ProtocolPools& pools, net::NodeComm& comm)
     : sim_(&sim),
       cfg_(&cfg),
       self_(self),
@@ -84,7 +35,6 @@ SvmAgent::SvmAgent(engine::Simulator& sim, const SimConfig& cfg, NodeId self,
       shared_(&shared),
       pools_(&pools),
       comm_(&comm),
-      counters_(&counters),
       vc_(space.nodes()),
       node_flush_done_(sim),
       inval_scratch_(static_cast<std::size_t>(procs_on_node)),
@@ -314,13 +264,7 @@ Task<PageCopy*> SvmAgent::ensure_valid(Processor& p, PageId page,
     }
     if (!counted_fault) {
       counted_fault = true;
-      ++counters_->page_faults;
-      if (for_write) {
-        ++counters_->write_faults;
-      } else {
-        ++counters_->read_faults;
-      }
-      SVMSIM_AGENT_EVENT(kPage, kPageFault, p.id(), page, for_write ? 1 : 0);
+      SVMSIM_PROBE(*sim_, kPageFault, p.id(), self_, page, for_write ? 1 : 0);
       p.charge(TimeCat::kProtocol,
                cfg_->arch.fault_trap_cycles + cfg_->arch.tlb_access_cycles);
     }
@@ -357,9 +301,7 @@ Task<PageCopy*> SvmAgent::writable(Processor& p, PageId page) {
   if (vc->state == PageState::kReadWrite) co_return vc;  // raced a co-writer
   if (was_valid) {
     // Pure write-protection fault on a valid page (write detection).
-    ++counters_->page_faults;
-    ++counters_->write_faults;
-    SVMSIM_AGENT_EVENT(kPage, kPageFault, p.id(), page, 1);
+    SVMSIM_PROBE(*sim_, kPageFault, p.id(), self_, page, 1);
     p.charge(TimeCat::kProtocol,
              cfg_->arch.fault_trap_cycles + cfg_->arch.tlb_access_cycles);
   }
@@ -372,10 +314,9 @@ Task<PageCopy*> SvmAgent::writable(Processor& p, PageId page) {
 }
 
 Task<void> SvmAgent::fetch_page(Processor& p, PageId page, PageCopy& c) {
-  ++counters_->page_fetches;
   const NodeId h = home_of(page);
   const std::uint32_t pb = space_->page_bytes();
-  SVMSIM_AGENT_EVENT(kPage, kPageFetch, p.id(), page, h);
+  SVMSIM_PROBE(*sim_, kPageFetch, p.id(), self_, page, h);
 
   if (cfg_->disable_remote_fetches) {
     // Guided simulation (paper §6): pretend the fetch is free/local.
@@ -385,11 +326,10 @@ Task<void> SvmAgent::fetch_page(Processor& p, PageId page, PageCopy& c) {
     SVMSIM_CHECK_HOOK(*sim_, on_page_state, sim_->now(), self_, page, c.state,
                       PageState::kReadOnly, check::PageEvent::kFetchInstall);
     c.state = PageState::kReadOnly;
-    SVMSIM_AGENT_EVENT(kPage, kPageInstall, p.id(), page, 1);
+    SVMSIM_PROBE(*sim_, kPageInstall, p.id(), self_, page, 1);
     co_return;
   }
 
-  SVMSIM_DBG_EVT(page, "fetch issued (gen=%u)", c.inval_gen);
   assert(fetch_slot(page) == nullptr && "duplicate fetch for a page");
   fetch_slot(page) = pools_->triggers.acquire();
   const std::uint32_t gen_at_start = c.inval_gen;
@@ -415,12 +355,9 @@ Task<void> SvmAgent::fetch_page(Processor& p, PageId page, PageCopy& c) {
   if (!(SVMSIM_CHECK_MUTATION_IS(*sim_, kStaleRead) && c.inval_gen > 0)) {
     std::memcpy(c.data.data(), data.data(), pb);
   }
-  SVMSIM_DBG_EVT(page, "fetch installed (gen %u -> %u) word0=%d",
-                   gen_at_start, c.inval_gen,
-                   *reinterpret_cast<const int*>(c.data.data()));
   p.charge(TimeCat::kProtocol, install_cycles(cfg_->arch, pb));
   if (invalidate_caches) invalidate_caches(page * pb, pb);
-  SVMSIM_AGENT_EVENT(kPage, kPageInstall, p.id(), page, 0);
+  SVMSIM_PROBE(*sim_, kPageInstall, p.id(), self_, page, 0);
 
   // If a write notice invalidated this page while the fetch was in flight,
   // the copy may already be stale: leave it invalid and let the access
@@ -441,19 +378,11 @@ Task<void> SvmAgent::fetch_page(Processor& p, PageId page, PageCopy& c) {
 }
 
 void SvmAgent::begin_page_flush(PageId page) {
-  if (dbg_flush()) {
-    std::fprintf(stderr, "[n=%d] begin_page_flush pg=%llu\n", self_,
-                 (unsigned long long)page);
-  }
   assert(flush_slot(page) == nullptr && "overlapping flushes of one page");
   flush_slot(page) = pools_->triggers.acquire();
 }
 
 void SvmAgent::end_page_flush(PageId page) {
-  if (dbg_flush()) {
-    std::fprintf(stderr, "[n=%d] end_page_flush pg=%llu\n", self_,
-                 (unsigned long long)page);
-  }
   engine::Trigger* t = flush_slot(page);
   if (t == nullptr) return;
   flush_slot(page) = nullptr;
@@ -465,11 +394,6 @@ engine::Task<void> SvmAgent::wait_page_flush(Processor& p, PageId page) {
   for (;;) {
     engine::Trigger* t = flush_slot(page);
     if (t == nullptr) co_return;
-    if (dbg_flush()) {
-      std::fprintf(stderr, "[t=%llu n=%d p=%d] wait_page_flush pg=%llu\n",
-                   (unsigned long long)sim_->now(), self_, p.id(),
-                   (unsigned long long)page);
-    }
     engine::Episode ep(*t);
     const Cycles t0 = co_await p.wait_begin();
     co_await ep.wait();
@@ -561,10 +485,6 @@ Task<void> SvmAgent::flush(Processor& p) {
   // is recorded. Without this wait, a lock token could leave the node ahead
   // of the data it protects.
   while (node_flushing_) {
-    if (dbg_flush()) {
-      std::fprintf(stderr, "[t=%llu n=%d p=%d] flush: wait node_flushing\n",
-                   (unsigned long long)sim_->now(), self_, p.id());
-    }
     // The episode stays answerable after the flusher complete()s under us.
     engine::Episode ep(node_flush_done_);
     const Cycles t0 = co_await p.wait_begin();
@@ -573,11 +493,6 @@ Task<void> SvmAgent::flush(Processor& p) {
   }
   if (interval_pages_.empty()) co_return;
 
-  if (dbg_flush()) {
-    std::fprintf(stderr, "[t=%llu n=%d p=%d] flush: start (%zu pages)\n",
-                 (unsigned long long)sim_->now(), self_, p.id(),
-                 interval_pages_.size());
-  }
   node_flushing_ = true;
   // Swap the live lists into scratch members: they refill while this flush
   // is in flight, and the storage ping-pongs between the pairs so the
@@ -597,10 +512,6 @@ Task<void> SvmAgent::flush(Processor& p) {
   SVMSIM_CHECK_HOOK(*sim_, on_vclock, sim_->now(), self_, vc_);
   shared_->dir.record_interval(self_, idx, interval_scratch_);
 
-  if (dbg_flush()) {
-    std::fprintf(stderr, "[t=%llu n=%d p=%d] flush: done\n",
-                 (unsigned long long)sim_->now(), self_, p.id());
-  }
   node_flushing_ = false;
   node_flush_done_.complete();
 }
@@ -614,9 +525,8 @@ Task<void> SvmAgent::apply_invalidations(Processor& p, const VClock& target) {
       vc_, target, [&](PageId page, NodeId writer) {
         if (writer != self_) pages.push_back(page);
       });
-  counters_->write_notices += notices;
   if (notices > 0) {
-    SVMSIM_AGENT_EVENT(kPage, kWriteNotices, p.id(), notices, 0);
+    SVMSIM_PROBE(*sim_, kWriteNotices, p.id(), self_, notices, 0);
   }
   p.charge(TimeCat::kProtocol, notices * cfg_->arch.write_notice_cycles);
 
@@ -659,15 +569,12 @@ Task<void> SvmAgent::apply_invalidations(Processor& p, const VClock& target) {
       // repeat until the page stays clean.
       co_await flush_page_for_invalidation(p, page, c);
     }
-    SVMSIM_DBG_EVT(page, "invalidated (state was %d)",
-                     static_cast<int>(c.state));
     SVMSIM_CHECK_HOOK(*sim_, on_page_state, sim_->now(), self_, page, c.state,
                       PageState::kInvalid, check::PageEvent::kInvalidate);
     c.state = PageState::kInvalid;
     c.twin.reset();
     c.au_active = false;
-    ++counters_->invalidations;
-    SVMSIM_AGENT_EVENT(kPage, kPageInval, p.id(), page, 0);
+    SVMSIM_PROBE(*sim_, kPageInval, p.id(), self_, page, 0);
     p.charge(TimeCat::kProtocol, cfg_->arch.tlb_access_cycles);
     if (invalidate_caches) invalidate_caches(page * pb, pb);
   }
@@ -714,9 +621,7 @@ Task<void> SvmAgent::acquire_lock(Processor& p, int lock) {
       if (lp.token && !lp.recall_pending) {
         // Node holds the free token: hardware lock, no messages.
         lp.held = true;
-        ++counters_->local_lock_acquires;
-        SVMSIM_AGENT_EVENT(kLock, kLockLocal, p.id(), lock, 0);
-        SVMSIM_DBG_LK(lock, "local acquire");
+        SVMSIM_PROBE(*sim_, kLockLocal, p.id(), self_, lock, 0);
         SVMSIM_CHECK_HOOK(*sim_, on_lock_acquired, sim_->now(), self_, lock,
                           vc_);
         co_return;
@@ -730,9 +635,8 @@ Task<void> SvmAgent::acquire_lock(Processor& p, int lock) {
       }
       // Fetch the token from the lock's home.
       lp.remote_pending = true;
-      ++counters_->remote_lock_acquires;
-      SVMSIM_AGENT_EVENT(kLock, kLockRequest, p.id(), lock,
-                         shared_->locks.home_of(lock));
+      SVMSIM_PROBE(*sim_, kLockRequest, p.id(), self_, lock,
+                   shared_->locks.home_of(lock));
       net::Message m;
       m.type = net::MsgType::kLockAcquire;
       m.dst = shared_->locks.home_of(lock);
@@ -752,7 +656,6 @@ Task<void> SvmAgent::acquire_lock(Processor& p, int lock) {
       lp.remote_pending = false;
       lp.token = true;
       lp.held = true;
-      SVMSIM_DBG_LK(lock, "remote acquire granted");
       co_await apply_invalidations(p, vclock_body(grant.body));
       SVMSIM_CHECK_HOOK(*sim_, on_lock_acquired, sim_->now(), self_, lock,
                         vc_);
@@ -773,8 +676,6 @@ Task<void> SvmAgent::release_lock(Processor& p, int lock) {
   co_await flush(p);
 
   LockProxy& lp = proxy(lock);
-  SVMSIM_DBG_LK(lock, "release (recall_pending=%d waiters=%zu)",
-                  (int)lp.recall_pending, lp.waiters.size());
   assert(lp.held && "release of a lock this node does not hold");
   shared_->locks.state(lock).vc = vc_;
   SVMSIM_CHECK_HOOK(*sim_, on_lock_release, sim_->now(), self_, lock, vc_);
@@ -791,8 +692,8 @@ Task<void> SvmAgent::release_lock(Processor& p, int lock) {
 
 Task<void> SvmAgent::send_token_return(int lock, Processor* p) {
   const NodeId home = shared_->locks.home_of(lock);
-  SVMSIM_AGENT_EVENT(kLock, kTokenReturn, p != nullptr ? p->id() : -1, lock,
-                     home);
+  SVMSIM_PROBE(*sim_, kTokenReturn, p != nullptr ? p->id() : -1, self_, lock,
+               home);
   if (p != nullptr) {
     charge_send(*p);
     co_await p->drain();
@@ -820,8 +721,7 @@ Task<void> SvmAgent::send_token_return(int lock, Processor* p) {
 // ---------------------------------------------------------------------------
 
 Task<void> SvmAgent::barrier(Processor& p) {
-  ++counters_->barriers;
-  SVMSIM_AGENT_EVENT(kLock, kBarrierEnter, p.id(), barrier_arrived_, 0);
+  SVMSIM_PROBE(*sim_, kBarrierEnter, p.id(), self_, barrier_arrived_, 0);
   p.charge(TimeCat::kProtocol, cfg_->arch.smp_barrier_cycles);
 
   if (++barrier_arrived_ < procs_on_node_) {
@@ -831,7 +731,7 @@ Task<void> SvmAgent::barrier(Processor& p) {
     const Cycles t0 = co_await p.wait_begin();
     co_await ep.wait();
     p.wait_end(TimeCat::kBarrierWait, t0);
-    SVMSIM_AGENT_EVENT(kLock, kBarrierExit, p.id(), 0, 0);
+    SVMSIM_PROBE(*sim_, kBarrierExit, p.id(), self_, 0, 0);
     co_return;
   }
 
@@ -904,7 +804,7 @@ Task<void> SvmAgent::barrier(Processor& p) {
   }
 
   // Release the node's processors into the next episode.
-  SVMSIM_AGENT_EVENT(kLock, kBarrierExit, p.id(), 1, 0);
+  SVMSIM_PROBE(*sim_, kBarrierExit, p.id(), self_, 1, 0);
   barrier_done_.complete();
 }
 
@@ -956,8 +856,6 @@ Task<void> SvmAgent::handle_page_request(net::Message m) {
   auto home = space_->home_data(m.page);
   BytesRef data = pools_->bytes();
   data->bytes.assign(home.begin(), home.end());
-  SVMSIM_DBG_EVT(m.page, "page reply snapshot for node %d word0=%d", m.src,
-                   *reinterpret_cast<const int*>(data->bytes.data()));
   co_await sim_->delay(cfg_->comm.host_overhead);
   net::Message rep;
   rep.type = net::MsgType::kPageReply;
@@ -974,9 +872,7 @@ Task<void> SvmAgent::handle_diff_batch(net::Message m) {
   for (const PageDiff& d : batch.view()) {
     apply_diff(space_->home_data(d.page), d);
     SVMSIM_CHECK_HOOK(*sim_, on_diff_apply, sim_->now(), m.src, d.page);
-    SVMSIM_AGENT_EVENT(kPage, kDiffApply, -1, d.page, d.modified_bytes());
-    SVMSIM_DBG_EVT(d.page, "diff applied at home from node %d (%llu bytes)",
-                     m.src, static_cast<unsigned long long>(d.modified_bytes()));
+    SVMSIM_PROBE(*sim_, kDiffApply, -1, self_, d.page, d.modified_bytes());
     cost += cfg_->arch.tlb_access_cycles + diff_apply_cycles(cfg_->arch, d);
     if (invalidate_caches) invalidate_caches(d.page * pb, pb);
   }
@@ -989,9 +885,7 @@ Task<void> SvmAgent::handle_diff_batch(net::Message m) {
 
 Task<void> SvmAgent::grant_lock(net::Message req) {
   LockHomeState& s = shared_->locks.state(req.lock_id);
-  SVMSIM_AGENT_EVENT(kLock, kLockGrant, -1, req.lock_id, req.src);
-  SVMSIM_DBG_LK(req.lock_id, "grant to node %d (waiters=%zu)", req.src,
-                  s.waiters.size());
+  SVMSIM_PROBE(*sim_, kLockGrant, -1, self_, req.lock_id, req.src);
   s.owner = req.src;
   s.recall_sent = false;
   const std::uint64_t notices =
@@ -1025,7 +919,6 @@ Task<void> SvmAgent::handle_lock_acquire(net::Message m) {
   LockHomeState& s = shared_->locks.state(lock);
   if (s.owner == self_) {
     LockProxy& lp = proxy(lock);
-    SVMSIM_DBG_LK(lock, "acquire request from node %d (owner=self)", m.src);
     if (lp.token && !lp.held && !lp.remote_pending && lp.waiters.empty() &&
         !lp.recall_pending) {
       lp.token = false;
@@ -1038,8 +931,6 @@ Task<void> SvmAgent::handle_lock_acquire(net::Message m) {
     s.waiters.push_back(std::move(m));
     co_return;
   }
-  SVMSIM_DBG_LK(lock, "acquire request from node %d queued (owner=%d)",
-                  m.src, s.owner);
   s.waiters.push_back(std::move(m));
   if (!s.recall_sent) {
     s.recall_sent = true;
@@ -1055,9 +946,7 @@ Task<void> SvmAgent::handle_lock_acquire(net::Message m) {
 
 Task<void> SvmAgent::handle_lock_recall(net::Message m) {
   LockProxy& lp = proxy(m.lock_id);
-  SVMSIM_AGENT_EVENT(kLock, kLockRecall, -1, m.lock_id, m.src);
-  SVMSIM_DBG_LK(m.lock_id, "recall received (held=%d token=%d)",
-                  (int)lp.held, (int)lp.token);
+  SVMSIM_PROBE(*sim_, kLockRecall, -1, self_, m.lock_id, m.src);
   if (lp.token && !lp.held && !lp.remote_pending) {
     // Token is free: return it now, even if local processors are queued —
     // leaving it cached with nobody holding it would strand the token
@@ -1074,7 +963,6 @@ Task<void> SvmAgent::handle_lock_recall(net::Message m) {
 
 Task<void> SvmAgent::handle_token_return(net::Message m) {
   const int lock = m.lock_id;
-  SVMSIM_DBG_LK(lock, "token returned");
   assert(lock >= 0);
   LockHomeState& s = shared_->locks.state(lock);
   s.recall_sent = false;
@@ -1097,8 +985,7 @@ Task<void> HlrcAgent::arm_write(Processor& p, PageId page, PageCopy& c) {
   if (home_of(page) == self_) co_return;  // home writes need no twin
   if (c.twin) co_return;
   c.twin = space_->acquire_twin(c.data);
-  ++counters_->twins_created;
-  SVMSIM_AGENT_EVENT(kPage, kTwinCreate, p.id(), page, 0);
+  SVMSIM_PROBE(*sim_, kTwinCreate, p.id(), self_, page, 0);
   p.charge(TimeCat::kProtocol,
            install_cycles(cfg_->arch, space_->page_bytes()));
 }
@@ -1110,13 +997,9 @@ void HlrcAgent::make_diff(Processor& p, PageId page, PageCopy& c,
                           PageDiff& out) {
   assert(c.twin && "diffing a page without a twin");
   compute_diff(page, c.data, c.twin->bytes, out);
-  SVMSIM_DBG_EVT(page, "diff created (%llu bytes modified)",
-                   static_cast<unsigned long long>(out.modified_bytes()));
   p.charge(TimeCat::kProtocol,
            diff_create_cycles(cfg_->arch, out, space_->page_bytes()));
-  ++counters_->diffs_created;
-  counters_->diff_bytes += out.wire_bytes();
-  SVMSIM_AGENT_EVENT(kPage, kDiffCreate, p.id(), page, out.wire_bytes());
+  SVMSIM_PROBE(*sim_, kDiffCreate, p.id(), self_, page, out.wire_bytes());
   c.twin.reset();
 }
 

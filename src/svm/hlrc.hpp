@@ -76,7 +76,7 @@ class SvmAgent {
  public:
   SvmAgent(engine::Simulator& sim, const SimConfig& cfg, NodeId self,
            int procs_on_node, AddressSpace& space, SharedState& shared,
-           ProtocolPools& pools, net::NodeComm& comm, Counters& counters);
+           ProtocolPools& pools, net::NodeComm& comm);
   virtual ~SvmAgent() = default;
 
   SvmAgent(const SvmAgent&) = delete;
@@ -210,7 +210,6 @@ class SvmAgent {
   SharedState* shared_;
   ProtocolPools* pools_;
   net::NodeComm* comm_;
-  Counters* counters_;
 
   VClock vc_;
   std::vector<PageId> dirty_pages_;     ///< need propagation at next flush

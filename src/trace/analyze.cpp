@@ -22,6 +22,13 @@ std::vector<HotEntry> top_n(const std::unordered_map<std::uint64_t,
   return v;
 }
 
+/// Whether a trace recorded under `mask` holds the events that feed
+/// counter `i`.
+bool counter_recorded(std::uint32_t mask, int i) {
+  const Category c = kCounterCategories[static_cast<std::size_t>(i)];
+  return (mask & category_bit(c)) != 0;
+}
+
 }  // namespace
 
 Analysis analyze(const TraceFile& f, std::size_t top) {
@@ -35,90 +42,15 @@ Analysis analyze(const TraceFile& f, std::size_t top) {
     if (r.cat < kCategories) {
       ++a.records_per_category[r.cat];
     }
-    switch (static_cast<Event>(r.event)) {
-      case Event::kPageFault:
-        ++c.page_faults;
-        if (r.a1 != 0) {
-          ++c.write_faults;
-        } else {
-          ++c.read_faults;
-        }
-        ++page_events[r.a0];
-        break;
-      case Event::kPageFetch:
-        ++c.page_fetches;
-        ++page_events[r.a0];
-        break;
-      case Event::kPageInstall:
-        ++page_events[r.a0];
-        break;
-      case Event::kTwinCreate:
-        ++c.twins_created;
-        ++page_events[r.a0];
-        break;
-      case Event::kDiffCreate:
-        ++c.diffs_created;
-        c.diff_bytes += r.a1;
-        ++page_events[r.a0];
-        break;
-      case Event::kDiffApply:
-        ++page_events[r.a0];
-        break;
-      case Event::kPageInval:
-        ++c.invalidations;
-        ++page_events[r.a0];
-        break;
-      case Event::kWriteNotices:
-        c.write_notices += r.a0;
-        break;
-      case Event::kLockLocal:
-        ++c.local_lock_acquires;
-        ++lock_events[r.a0];
-        break;
-      case Event::kLockRequest:
-        ++c.remote_lock_acquires;
-        ++lock_events[r.a0];
-        break;
-      case Event::kLockGrant:
-      case Event::kLockRecall:
-      case Event::kTokenReturn:
-        ++lock_events[r.a0];
-        break;
-      case Event::kBarrierEnter:
-        ++c.barriers;
-        break;
+    const auto ev = static_cast<Event>(r.event);
+    count(c, ev, r.a0, r.a1);
+    switch (ev) {
+      case Event::kWriteNotices:  // a0 is a notice count, not a page
+      case Event::kBarrierEnter:  // a0 is an arrival index, not a lock
       case Event::kBarrierExit:
         break;
-      case Event::kMsgSend:
-        ++c.messages_sent;
-        break;
-      case Event::kMsgDeliver:
-        break;
-      case Event::kPacketTx:
-        ++c.packets_sent;
-        c.bytes_sent += r.a1;
-        break;
-      case Event::kNiTx:
-      case Event::kNiRx:
-      case Event::kIoBus:
-      case Event::kLinkHop:  // per-link occupancy lives in Stats::links,
-        break;               // not in Counters — nothing to recompute
-
       case Event::kUpdateSend:
-        ++c.updates_sent;
-        c.update_bytes += r.a1;
         if (r.a0 != ~0ull) ++page_events[r.a0];
-        break;
-      case Event::kNiOverflow:
-        ++c.ni_queue_overflows;
-        break;
-      case Event::kIrqIssue:
-        ++c.interrupts;
-        break;
-      case Event::kPollDeliver:
-        ++c.polled_requests;
-        break;
-      case Event::kHandlerSpan:
         break;
       case Event::kTimeSpan:
         if (r.proc >= 0 && r.proc < f.procs &&
@@ -126,7 +58,9 @@ Analysis analyze(const TraceFile& f, std::size_t top) {
           a.recomputed.proc(r.proc).t[r.a1] += r.a0;
         }
         break;
-      case Event::kCount:
+      default:
+        if (category_of(ev) == Category::kPage) ++page_events[r.a0];
+        if (category_of(ev) == Category::kLock) ++lock_events[r.a0];
         break;
     }
   }
@@ -143,7 +77,7 @@ std::vector<std::string> check(const TraceFile& f) {
   const auto expect = counters_to_array(f.stats.counters());
   const auto got = counters_to_array(a.recomputed.counters());
   for (int i = 0; i < kCounterCount; ++i) {
-    if ((f.mask & category_bit(counter_category(i))) == 0) continue;
+    if (!counter_recorded(f.mask, i)) continue;
     if (expect[i] != got[i]) {
       std::ostringstream os;
       os << "counter " << counter_name(i) << ": stats=" << expect[i]
@@ -196,7 +130,7 @@ std::string report(const TraceFile& f, const Analysis& a) {
   const auto counters = counters_to_array(a.recomputed.counters());
   os << "counters (recomputed from records):\n";
   for (int i = 0; i < kCounterCount; ++i) {
-    if ((f.mask & category_bit(counter_category(i))) == 0) continue;
+    if (!counter_recorded(f.mask, i)) continue;
     os << "  " << counter_name(i) << ": " << counters[i] << "\n";
   }
 

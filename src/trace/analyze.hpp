@@ -1,8 +1,10 @@
-// Trace analysis: recompute per-category totals from the records and
-// cross-check them against the core::Stats embedded in the trace. Exact
-// agreement turns the tracer into a whole-simulation correctness oracle:
-// every counter increment and every Breakdown bucket must be matched by a
-// record, and vice versa. Used by bench/trace_analyze and tests/test_trace.
+// Trace analysis: rebuild the run's statistics from the records and
+// cross-check them against the core::Stats embedded in the trace. Counters
+// are rebuilt by re-applying the probe projection (trace::count) to the
+// records, so they agree by construction whenever every probe recorded what
+// it counted; the check guards exactly that, plus the file format and the
+// Breakdown mirror (kTimeSpan). Used by bench/trace_analyze and
+// tests/test_trace.
 #pragma once
 
 #include <cstdint>

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -58,46 +59,6 @@ std::string mask_to_string(std::uint32_t mask) {
   return out;
 }
 
-Category category_of(Event e) noexcept {
-  switch (e) {
-    case Event::kPageFault:
-    case Event::kPageFetch:
-    case Event::kPageInstall:
-    case Event::kTwinCreate:
-    case Event::kDiffCreate:
-    case Event::kDiffApply:
-    case Event::kPageInval:
-    case Event::kWriteNotices:
-      return Category::kPage;
-    case Event::kLockLocal:
-    case Event::kLockRequest:
-    case Event::kLockGrant:
-    case Event::kLockRecall:
-    case Event::kTokenReturn:
-    case Event::kBarrierEnter:
-    case Event::kBarrierExit:
-      return Category::kLock;
-    case Event::kMsgSend:
-    case Event::kMsgDeliver:
-    case Event::kPacketTx:
-    case Event::kNiTx:
-    case Event::kNiRx:
-    case Event::kIoBus:
-    case Event::kUpdateSend:
-    case Event::kNiOverflow:
-    case Event::kLinkHop:
-      return Category::kNet;
-    case Event::kIrqIssue:
-    case Event::kPollDeliver:
-    case Event::kHandlerSpan:
-      return Category::kIrq;
-    case Event::kTimeSpan:
-    case Event::kCount:
-      break;
-  }
-  return Category::kSched;
-}
-
 std::string_view to_string(Event e) noexcept {
   switch (e) {
     case Event::kPageFault: return "page-fault";
@@ -139,71 +100,26 @@ std::string_view to_string(Event e) noexcept {
 
 std::array<std::uint64_t, kCounterCount> counters_to_array(
     const Counters& c) noexcept {
-  return {c.page_faults,        c.read_faults,
-          c.write_faults,       c.page_fetches,
-          c.local_lock_acquires, c.remote_lock_acquires,
-          c.barriers,           c.messages_sent,
-          c.packets_sent,       c.bytes_sent,
-          c.interrupts,         c.polled_requests,
-          c.twins_created,      c.diffs_created,
-          c.diff_bytes,         c.write_notices,
-          c.invalidations,      c.updates_sent,
-          c.update_bytes,       c.ni_queue_overflows};
+  std::array<std::uint64_t, kCounterCount> a{};
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i] = c.*kCounterFields[i].member;
+  }
+  return a;
 }
 
 Counters counters_from_array(
     const std::array<std::uint64_t, kCounterCount>& a) noexcept {
   Counters c;
-  c.page_faults = a[0];
-  c.read_faults = a[1];
-  c.write_faults = a[2];
-  c.page_fetches = a[3];
-  c.local_lock_acquires = a[4];
-  c.remote_lock_acquires = a[5];
-  c.barriers = a[6];
-  c.messages_sent = a[7];
-  c.packets_sent = a[8];
-  c.bytes_sent = a[9];
-  c.interrupts = a[10];
-  c.polled_requests = a[11];
-  c.twins_created = a[12];
-  c.diffs_created = a[13];
-  c.diff_bytes = a[14];
-  c.write_notices = a[15];
-  c.invalidations = a[16];
-  c.updates_sent = a[17];
-  c.update_bytes = a[18];
-  c.ni_queue_overflows = a[19];
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    c.*kCounterFields[i].member = a[i];
+  }
   return c;
 }
 
 std::string_view counter_name(int i) noexcept {
-  constexpr std::string_view names[kCounterCount] = {
-      "page_faults",        "read_faults",
-      "write_faults",       "page_fetches",
-      "local_lock_acquires", "remote_lock_acquires",
-      "barriers",           "messages_sent",
-      "packets_sent",       "bytes_sent",
-      "interrupts",         "polled_requests",
-      "twins_created",      "diffs_created",
-      "diff_bytes",         "write_notices",
-      "invalidations",      "updates_sent",
-      "update_bytes",       "ni_queue_overflows"};
-  return i >= 0 && i < kCounterCount ? names[i] : "?";
-}
-
-Category counter_category(int i) noexcept {
-  switch (i) {
-    case 0: case 1: case 2: case 3:            // faults / fetches
-    case 12: case 13: case 14: case 15: case 16:  // twins/diffs/notices/invals
-      return Category::kPage;
-    case 4: case 5: case 6:                    // locks, barriers
-      return Category::kLock;
-    case 10: case 11:                          // interrupts, polled requests
-      return Category::kIrq;
-    default:                                   // messages/packets/bytes/...
-      return Category::kNet;
-  }
+  return i >= 0 && i < kCounterCount
+             ? kCounterFields[static_cast<std::size_t>(i)].name
+             : "?";
 }
 
 // ---------------------------------------------------------------------------
@@ -329,6 +245,18 @@ void get(std::ifstream& in, T* p, std::size_t n) {
   if (!in) throw std::runtime_error("trace: truncated file");
 }
 
+/// Bytes between the read position and the end of the file.
+std::uint64_t bytes_left(std::ifstream& in) {
+  const std::streampos pos = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(pos);
+  if (!in || pos < 0 || end < pos) {
+    throw std::runtime_error("trace: cannot size file");
+  }
+  return static_cast<std::uint64_t>(end - pos);
+}
+
 }  // namespace
 
 void write_file(const TraceFile& f, const std::string& path) {
@@ -379,6 +307,23 @@ TraceFile read_file(const std::string& path) {
   }
   if (h.counter_count != kCounterCount) {
     throw std::runtime_error("trace: " + path + " counter count mismatch");
+  }
+  // Record::proc/node are int16, so larger machines cannot have been traced.
+  constexpr std::int32_t kMaxIds = std::numeric_limits<std::int16_t>::max();
+  if (h.procs < 0 || h.procs > kMaxIds || h.nodes < 0 || h.nodes > kMaxIds) {
+    throw std::runtime_error("trace: " + path + " has " +
+                             std::to_string(h.procs) + " procs / " +
+                             std::to_string(h.nodes) + " nodes");
+  }
+  // Sizes must fit the bytes actually present before anything is allocated.
+  const std::uint64_t body_bytes =
+      h.provenance_bytes +
+      static_cast<std::uint64_t>(h.procs) * kTimeCats * sizeof(Cycles) +
+      kCounterCount * sizeof(std::uint64_t);
+  const std::uint64_t left = bytes_left(in);
+  if (body_bytes > left ||
+      h.record_count > (left - body_bytes) / sizeof(Record)) {
+    throw std::runtime_error("trace: " + path + " is truncated");
   }
 
   TraceFile f;

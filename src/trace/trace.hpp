@@ -1,6 +1,12 @@
-// Low-overhead per-simulation event recorder.
+// Low-overhead per-simulation event recorder, and the probe that feeds both
+// it and core::Counters.
 //
 // Design (see docs/tracing.md):
+//  - One emission point per protocol event: SVMSIM_PROBE. It always updates
+//    the Simulator's Counters through the constexpr projection
+//    trace::count, so Counters are a projection of the event stream and a
+//    trace reproduces them by construction. When a tracer is attached and
+//    wants the event's category (category_of), it also appends a record.
 //  - Fixed-size 32-byte records (sim time, proc/node, category, event id,
 //    two u64 arguments) appended to pooled 4096-record chunks. Chunks
 //    recycle through a thread-local freelist across runs (the frame_pool /
@@ -8,15 +14,16 @@
 //    and tracing-off runs allocate nothing: a Machine only constructs a
 //    Tracer when SimConfig::trace.enabled is set.
 //  - Compile-time gate: configure with -DSVMSIM_TRACE=OFF to define
-//    SVMSIM_TRACE_DISABLED, turning every SVMSIM_TRACE_EVENT into ((void)0).
-//  - Runtime gate: the emission macro null-checks the Simulator's tracer
-//    pointer and the per-category mask bit before evaluating arguments.
+//    SVMSIM_TRACE_DISABLED, which compiles the recording half of every probe
+//    out. The counting half stays.
+//  - Runtime gate: the probe null-checks the Simulator's tracer pointer and
+//    the per-category mask bit before it records anything.
 //  - Records never feed back into the simulation: a traced run is
 //    byte-identical to an untraced one.
 //
 // A finished trace (TraceFile) embeds the run's core::Stats and a build
 // provenance string, which makes any trace self-checkable: trace::check()
-// recomputes per-category totals from the records and compares.
+// re-applies the projection to the records and compares.
 #pragma once
 
 #include <array>
@@ -72,8 +79,96 @@ enum class Event : std::uint8_t {
   kCount,
 };
 
-[[nodiscard]] Category category_of(Event e) noexcept;
+inline constexpr int kEvents = static_cast<int>(Event::kCount);
+
+[[nodiscard]] constexpr Category category_of(Event e) noexcept {
+  switch (e) {
+    case Event::kPageFault:
+    case Event::kPageFetch:
+    case Event::kPageInstall:
+    case Event::kTwinCreate:
+    case Event::kDiffCreate:
+    case Event::kDiffApply:
+    case Event::kPageInval:
+    case Event::kWriteNotices:
+      return Category::kPage;
+    case Event::kLockLocal:
+    case Event::kLockRequest:
+    case Event::kLockGrant:
+    case Event::kLockRecall:
+    case Event::kTokenReturn:
+    case Event::kBarrierEnter:
+    case Event::kBarrierExit:
+      return Category::kLock;
+    case Event::kMsgSend:
+    case Event::kMsgDeliver:
+    case Event::kPacketTx:
+    case Event::kNiTx:
+    case Event::kNiRx:
+    case Event::kIoBus:
+    case Event::kUpdateSend:
+    case Event::kNiOverflow:
+    case Event::kLinkHop:
+      return Category::kNet;
+    case Event::kIrqIssue:
+    case Event::kPollDeliver:
+    case Event::kHandlerSpan:
+      return Category::kIrq;
+    case Event::kTimeSpan:
+    case Event::kCount:
+      break;
+  }
+  return Category::kSched;
+}
+
 [[nodiscard]] std::string_view to_string(Event e) noexcept;
+
+/// The projection from protocol events to Counters: the one place that says
+/// which counter an event feeds. SVMSIM_PROBE applies it as the event
+/// happens; trace::analyze applies it to the recorded events.
+constexpr void count(Counters& c, Event e, std::uint64_t a0,
+                     std::uint64_t a1) noexcept {
+  switch (e) {
+    case Event::kPageFault:
+      ++c.page_faults;
+      ++(a1 != 0 ? c.write_faults : c.read_faults);
+      return;
+    case Event::kPageFetch: ++c.page_fetches; return;
+    case Event::kTwinCreate: ++c.twins_created; return;
+    case Event::kDiffCreate:
+      ++c.diffs_created;
+      c.diff_bytes += a1;
+      return;
+    case Event::kPageInval: ++c.invalidations; return;
+    case Event::kWriteNotices: c.write_notices += a0; return;
+    case Event::kLockLocal: ++c.local_lock_acquires; return;
+    case Event::kLockRequest: ++c.remote_lock_acquires; return;
+    case Event::kBarrierEnter: ++c.barriers; return;
+    case Event::kMsgSend: ++c.messages_sent; return;
+    case Event::kPacketTx:
+      ++c.packets_sent;
+      c.bytes_sent += a1;
+      return;
+    case Event::kUpdateSend:
+      ++c.updates_sent;
+      c.update_bytes += a1;
+      return;
+    case Event::kNiOverflow: ++c.ni_queue_overflows; return;
+    case Event::kIrqIssue: ++c.interrupts; return;
+    case Event::kPollDeliver: ++c.polled_requests; return;
+    default:
+      // Timeline-only events (installs, lock handoffs, NI/bus legs, link
+      // hops, handler and time spans) feed no counter.
+      return;
+  }
+}
+
+/// Whether `e` feeds any counter (the probe skips counting otherwise).
+[[nodiscard]] constexpr bool counted(Event e) noexcept {
+  Counters c;
+  count(c, e, 1, 1);
+  return c != Counters{};
+}
 
 /// One trace record; the on-disk format is this struct verbatim
 /// (native-endian, see docs/tracing.md).
@@ -95,15 +190,35 @@ static_assert(sizeof(Record) == 32, "trace records are exactly 32 bytes");
 /// bump kFormatVersion when Counters grows).
 inline constexpr int kCounterCount = 20;
 inline constexpr std::uint32_t kFormatVersion = 1;
+static_assert(kCounterFields.size() == kCounterCount,
+              "Counters changed: bump kFormatVersion and kCounterCount");
 
 [[nodiscard]] std::array<std::uint64_t, kCounterCount> counters_to_array(
     const Counters& c) noexcept;
 [[nodiscard]] Counters counters_from_array(
     const std::array<std::uint64_t, kCounterCount>& a) noexcept;
 [[nodiscard]] std::string_view counter_name(int i) noexcept;
+
 /// Which trace category must be enabled for counter `i` to be recomputable
-/// from the records.
-[[nodiscard]] Category counter_category(int i) noexcept;
+/// from the records: the category of the events that feed it, read off the
+/// projection (tests pin that every feeder of a counter shares one category).
+inline constexpr auto kCounterCategories = [] {
+  std::array<Category, kCounterCount> cats{};
+  cats.fill(Category::kCount);
+  for (int e = 0; e < kEvents; ++e) {
+    const auto ev = static_cast<Event>(e);
+    for (const std::uint64_t a1 : {0u, 1u}) {
+      Counters c;
+      count(c, ev, 1, a1);
+      for (std::size_t i = 0; i < cats.size(); ++i) {
+        if (c.*kCounterFields[i].member != 0 && cats[i] == Category::kCount) {
+          cats[i] = category_of(ev);
+        }
+      }
+    }
+  }
+  return cats;
+}();
 
 /// A complete captured trace: header, provenance, the run's Stats, and the
 /// time-ordered records.
@@ -145,8 +260,8 @@ class Tracer {
   [[nodiscard]] std::uint32_t mask() const noexcept { return mask_; }
   [[nodiscard]] std::size_t record_count() const noexcept { return count_; }
 
-  void emit(Cycles time, Category cat, Event ev, int proc, int node,
-            std::uint64_t a0, std::uint64_t a1) {
+  void emit(Cycles time, Event ev, int proc, int node, std::uint64_t a0,
+            std::uint64_t a1) {
     if (cur_ == nullptr || cur_->n == kChunkRecords) next_chunk();
     Record& r = cur_->recs[cur_->n++];
     ++count_;
@@ -155,7 +270,7 @@ class Tracer {
     r.a1 = a1;
     r.proc = static_cast<std::int16_t>(proc);
     r.node = static_cast<std::int16_t>(node);
-    r.cat = static_cast<std::uint8_t>(cat);
+    r.cat = static_cast<std::uint8_t>(category_of(ev));
     r.event = static_cast<std::uint8_t>(ev);
     r.pad = 0;
   }
@@ -187,25 +302,41 @@ class Tracer {
   std::vector<std::unique_ptr<Chunk>> chunks_;
 };
 
+/// The tracer a probe of `ev` should record to: `t` when it is attached and
+/// wants category_of(ev), else nullptr. Always nullptr under
+/// -DSVMSIM_TRACE=OFF, which compiles the recording half of every probe out
+/// and keeps the counting half.
+[[nodiscard]] inline Tracer* recorder(Tracer* t, Event ev) noexcept {
+#ifdef SVMSIM_TRACE_DISABLED
+  (void)t;
+  (void)ev;
+  return nullptr;
+#else
+  return t != nullptr && t->wants(category_of(ev)) ? t : nullptr;
+#endif
+}
+
 }  // namespace svmsim::trace
 
-// Emission macro: compiled out entirely under -DSVMSIM_TRACE=OFF; otherwise
-// a null check + mask bit test before any argument is evaluated. `sim` is
-// an engine::Simulator&; the record is stamped with sim.now().
-#ifndef SVMSIM_TRACE_DISABLED
-#define SVMSIM_TRACE_EVENT(sim, cat, ev, proc, node, a0, a1)                 \
-  do {                                                                       \
-    if (::svmsim::trace::Tracer* svmsim_tr_ = (sim).tracer();                \
-        svmsim_tr_ != nullptr && svmsim_tr_->wants(cat)) {                   \
-      svmsim_tr_->emit((sim).now(), (cat), (ev), (proc), (node),             \
-                       static_cast<std::uint64_t>(a0),                       \
-                       static_cast<std::uint64_t>(a1));                      \
-    }                                                                        \
+// The probe: the one emission point of protocol event `ev` (an Event
+// enumerator name) at sim.now(), where `sim` is an engine::Simulator&. It
+// feeds sim.counters() through trace::count — at compile time it skips that
+// step for events that feed no counter — and appends a record when
+// trace::recorder finds a tracer that wants the event. The arguments must be
+// free of side effects: a traced, counted event evaluates them twice. The
+// macro declares no locals beyond the tracer pointer, because a coroutine
+// keeps every local of its body in its frame.
+#define SVMSIM_PROBE(sim, ev, proc, node, a0, a1)                              \
+  do {                                                                         \
+    if constexpr (::svmsim::trace::counted(::svmsim::trace::Event::ev)) {      \
+      ::svmsim::trace::count(*(sim).counters(), ::svmsim::trace::Event::ev,    \
+                             static_cast<std::uint64_t>(a0),                   \
+                             static_cast<std::uint64_t>(a1));                  \
+    }                                                                          \
+    if (::svmsim::trace::Tracer* svmsim_tr_ = ::svmsim::trace::recorder(       \
+            (sim).tracer(), ::svmsim::trace::Event::ev)) {                     \
+      svmsim_tr_->emit((sim).now(), ::svmsim::trace::Event::ev, (proc),        \
+                       (node), static_cast<std::uint64_t>(a0),                 \
+                       static_cast<std::uint64_t>(a1));                        \
+    }                                                                          \
   } while (0)
-#else
-// Arguments vanish into an unevaluated operand: no code is generated, but
-// the variables still count as used (no -Wunused warnings in OFF builds).
-#define SVMSIM_TRACE_EVENT(sim, cat, ev, proc, node, a0, a1)                  \
-  ((void)sizeof(((void)(sim), (void)(cat), (void)(ev), (void)(proc),          \
-                 (void)(node), (void)(a0), (void)(a1), 0)))
-#endif

@@ -21,13 +21,14 @@ struct Net2 {
   memsys::MemoryBus bus0{sim, cfg.arch};
   memsys::MemoryBus bus1{sim, cfg.arch};
   Network network{sim, cfg.arch};
-  Nic nic0{sim, cfg.arch, cfg.comm, 0, 0, bus0, stats.counters()};
-  Nic nic1{sim, cfg.arch, cfg.comm, 1, 0, bus1, stats.counters()};
-  NodeComm comm0{sim, 0, {&nic0}, stats.counters()};
-  NodeComm comm1{sim, 1, {&nic1}, stats.counters()};
+  Nic nic0{sim, cfg.arch, cfg.comm, 0, 0, bus0};
+  Nic nic1{sim, cfg.arch, cfg.comm, 1, 0, bus1};
+  NodeComm comm0{sim, 0, {&nic0}};
+  NodeComm comm1{sim, 1, {&nic1}};
 
   Net2() {
     cfg.comm = CommParams::achievable();
+    sim.set_counters(&stats.counters());
     network.add_nic(nic0);
     network.add_nic(nic1);
     // Default: no interrupt machinery; tests install handlers as needed.

@@ -41,6 +41,10 @@ TEST(Stats, AggregateEqualsPerProcSum) {
   EXPECT_EQ(s.total_compute(), 1000u);
 }
 
+static_assert(kCounterFields.size() == trace::kCounterCount &&
+                  trace::kCounterCount == 20,
+              "the Counters field table and the trace format list 20 fields");
+
 TEST(Counters, MergeCoversAllTwentyFields) {
   // Drive the += through the trace array mapping so a field added to
   // Counters without updating either the merge or the mapping fails here.

@@ -31,8 +31,10 @@ struct TempFile {
   ~TempFile() { std::remove(path.c_str()); }
 };
 
-RunResult run_fft(const trace::Config& tc) {
+RunResult run_fft(const trace::Config& tc,
+                  InterruptScheme irq = InterruptScheme::kFixedProcessor) {
   SimConfig cfg = config_with(8, 2);
+  cfg.comm.interrupt_scheme = irq;
   cfg.trace = tc;
   auto app = apps::make_app("fft", apps::Scale::kTiny);
   return svmsim::run(*app, cfg);
@@ -65,9 +67,9 @@ TEST(TraceFileFormat, RecordRoundtrip) {
   trace::Config tc;
   tc.enabled = true;  // in-memory: no path
   trace::Tracer t(tc, 4, 2);
-  t.emit(100, trace::Category::kPage, trace::Event::kPageFault, 3, 1, 42, 1);
-  t.emit(250, trace::Category::kNet, trace::Event::kPacketTx, -1, 0, 1, 4096);
-  t.emit(250, trace::Category::kSched, trace::Event::kTimeSpan, 0, 0, 150, 0);
+  t.emit(100, trace::Event::kPageFault, 3, 1, 42, 1);
+  t.emit(250, trace::Event::kPacketTx, -1, 0, 1, 4096);
+  t.emit(250, trace::Event::kTimeSpan, 0, 0, 150, 0);
   EXPECT_EQ(t.record_count(), 3u);
 
   Stats stats(4);
@@ -79,6 +81,7 @@ TEST(TraceFileFormat, RecordRoundtrip) {
   EXPECT_EQ(f.records[0].time, 100u);
   EXPECT_EQ(f.records[0].a0, 42u);
   EXPECT_EQ(f.records[1].proc, -1);
+  EXPECT_EQ(f.records[1].cat, static_cast<int>(trace::Category::kNet));
 
   TempFile tmp("test_trace_roundtrip.bin");
   trace::write_file(f, tmp.path);
@@ -104,6 +107,29 @@ TEST(TraceFileFormat, ReadRejectsMissingAndCorrupt) {
     std::fclose(out);
   }
   EXPECT_THROW((void)trace::read_file(tmp.path), std::runtime_error);
+
+  // Header fields that would size allocations must be validated first:
+  // std::runtime_error, not length_error from Stats(-1) or bad_alloc from a
+  // 32 TiB record vector behind an intact counter block.
+  trace::TraceFile f;
+  f.procs = 2;
+  f.nodes = 1;
+  f.stats = Stats(2);
+  f.records.resize(3);
+  const auto patched = [&](std::size_t offset, auto value) {
+    trace::write_file(f, tmp.path);
+    std::fstream io(tmp.path, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(static_cast<std::streamoff>(offset));
+    io.write(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  patched(16, std::int32_t{-1});  // procs
+  EXPECT_THROW((void)trace::read_file(tmp.path), std::runtime_error);
+  patched(20, std::int32_t{1 << 16});  // nodes beyond Record::node
+  EXPECT_THROW((void)trace::read_file(tmp.path), std::runtime_error);
+  patched(32, std::uint64_t{1} << 40);  // record_count
+  EXPECT_THROW((void)trace::read_file(tmp.path), std::runtime_error);
+  patched(32, std::uint64_t{3});  // the unpatched count still reads back
+  EXPECT_EQ(trace::read_file(tmp.path).records.size(), 3u);
 }
 
 TEST(TraceDeterminism, TracingDoesNotPerturbTheSimulation) {
@@ -129,24 +155,63 @@ TEST(TraceDeterminism, TracingDoesNotPerturbTheSimulation) {
 }
 
 TEST(TraceOracle, CheckReproducesStatsExactly) {
-  TempFile tmp("test_trace_oracle.bin");
-  trace::Config tc;
-  tc.enabled = true;
-  tc.path = tmp.path;
-  const RunResult r = run_fft(tc);
-  ASSERT_TRUE(r.validated);
+  // Interrupt delivery and polling count at different probes (kIrqIssue at
+  // dispatch, kPollDeliver at the poll tick); both must match the records.
+  for (const InterruptScheme irq :
+       {InterruptScheme::kFixedProcessor, InterruptScheme::kPolling}) {
+    SCOPED_TRACE(irq == InterruptScheme::kPolling ? "polling" : "interrupts");
+    TempFile tmp("test_trace_oracle.bin");
+    trace::Config tc;
+    tc.enabled = true;
+    tc.path = tmp.path;
+    const RunResult r = run_fft(tc, irq);
+    ASSERT_TRUE(r.validated);
+    const Counters& rc = r.stats.counters();
+    EXPECT_GT(irq == InterruptScheme::kPolling ? rc.polled_requests
+                                               : rc.interrupts,
+              0u);
 
-  const trace::TraceFile f = trace::read_file(tmp.path);
-  EXPECT_GT(f.records.size(), 0u);
-  EXPECT_TRUE(f.stats == r.stats);
-  const std::vector<std::string> mismatches = trace::check(f);
-  EXPECT_TRUE(mismatches.empty())
-      << mismatches.size() << " mismatch(es), first: "
-      << (mismatches.empty() ? "" : mismatches.front());
+    const trace::TraceFile f = trace::read_file(tmp.path);
+    EXPECT_GT(f.records.size(), 0u);
+    EXPECT_TRUE(f.stats == r.stats);
+    const std::vector<std::string> mismatches = trace::check(f);
+    EXPECT_TRUE(mismatches.empty())
+        << mismatches.size() << " mismatch(es), first: "
+        << (mismatches.empty() ? "" : mismatches.front());
 
-  const trace::Analysis a = trace::analyze(f);
-  EXPECT_TRUE(a.recomputed.counters() == r.stats.counters());
-  EXPECT_FALSE(trace::report(f, a).empty());
+    const trace::Analysis a = trace::analyze(f);
+    EXPECT_TRUE(a.recomputed.counters() == rc);
+    EXPECT_FALSE(trace::report(f, a).empty());
+  }
+}
+
+TEST(TraceProjection, EventsFeedOnlyCountersOfTheirCategory) {
+  // trace::count is the only map from events to Counters. Every counter an
+  // event touches must belong to that event's category (so a category mask
+  // drops whole counters, never parts of one), and every counter must be
+  // fed by some event (so none can drift from the record stream).
+  std::array<bool, trace::kCounterCount> fed{};
+  for (int e = 0; e < trace::kEvents; ++e) {
+    const auto ev = static_cast<trace::Event>(e);
+    for (const std::uint64_t a1 : {0u, 1u}) {
+      Counters c;
+      trace::count(c, ev, 1, a1);
+      const auto after = trace::counters_to_array(c);
+      for (int i = 0; i < trace::kCounterCount; ++i) {
+        if (after[static_cast<std::size_t>(i)] == 0) continue;
+        fed[static_cast<std::size_t>(i)] = true;
+        EXPECT_EQ(trace::kCounterCategories[static_cast<std::size_t>(i)],
+                  trace::category_of(ev))
+            << trace::to_string(ev) << " feeds " << trace::counter_name(i);
+      }
+      EXPECT_EQ(trace::counted(ev), after != decltype(after){})
+          << trace::to_string(ev);
+    }
+  }
+  for (int i = 0; i < trace::kCounterCount; ++i) {
+    EXPECT_TRUE(fed[static_cast<std::size_t>(i)])
+        << trace::counter_name(i) << " is fed by no event";
+  }
 }
 
 TEST(TraceOracle, MaskedCategoriesAreSkippedNotMismatched) {

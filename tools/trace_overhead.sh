@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Measure tracing cost in all three configurations and prove the tracer is
-# observationally inert: build a second tree with -DSVMSIM_TRACE=OFF, run
-# bench/trace_overhead from both trees into the same BENCH_sweep.json (each
-# writes its own subsections, preserving the other's), and diff sweep_dump
-# output byte-for-byte between the two builds.
+# Measure tracing cost in all three configurations: run bench/trace_overhead
+# from the default tree and from the nested instrumentation-off tree
+# (-DSVMSIM_TRACE=OFF -DSVMSIM_CHECK=OFF) into the same BENCH_sweep.json
+# (each writes its own subsections, preserving the other's). The nested tree
+# is the one tools/instrumentation_equivalence.sh configures; running that
+# script first also proves its sweep_dump output byte-identical to the
+# default build's.
 #
 #   tools/trace_overhead.sh <build_dir> [out.json] [reps]
 #
@@ -17,23 +19,10 @@ build_dir="${1:?usage: trace_overhead.sh <build_dir> [out.json] [reps]}"
 out="${2:-$repo_root/BENCH_sweep.json}"
 reps="${3:-5}"
 
-alt_dir="$build_dir/trace-off"
-cmake -S "$repo_root" -B "$alt_dir" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DSVMSIM_TRACE=OFF > "$alt_dir.cmake.log" 2>&1 \
-  || { cat "$alt_dir.cmake.log"; exit 1; }
-cmake --build "$alt_dir" --target trace_overhead sweep_dump -j "$(nproc)" \
+"$repo_root/tools/instrumentation_equivalence.sh" "$build_dir"
+alt_dir="$build_dir/instr-off"
+cmake --build "$alt_dir" --target trace_overhead -j "$(nproc)" \
   > "$alt_dir.build.log" 2>&1 || { cat "$alt_dir.build.log"; exit 1; }
-
-# Byte-identity across builds: tracing compiled in vs out must not change a
-# single counter of the reference sweep.
-"$build_dir/bench/sweep_dump" > "$alt_dir/dump-trace-on.txt"
-"$alt_dir/bench/sweep_dump" > "$alt_dir/dump-trace-off.txt"
-if ! diff -u "$alt_dir/dump-trace-on.txt" "$alt_dir/dump-trace-off.txt"; then
-  echo "trace_overhead: SVMSIM_TRACE=ON and OFF builds DIVERGE" >&2
-  exit 1
-fi
-echo "trace_overhead: ON == OFF sweep output ($(wc -l < "$alt_dir/dump-trace-on.txt") lines identical)"
 
 # Alternate the two builds several times; each invocation keeps the best
 # per-rep peak seen so far per configuration (see trace_overhead.cpp), so
