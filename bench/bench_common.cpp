@@ -15,10 +15,16 @@ Options Options::parse(int argc, char** argv) {
   const std::string scale = cli.get_or("scale", "small");
   if (scale == "tiny") {
     opt.scale = apps::Scale::kTiny;
+  } else if (scale == "small") {
+    opt.scale = apps::Scale::kSmall;
   } else if (scale == "large") {
     opt.scale = apps::Scale::kLarge;
   } else {
-    opt.scale = apps::Scale::kSmall;
+    std::fprintf(stderr,
+                 "%s: unknown --scale value '%s' (expected tiny, small or "
+                 "large)\n",
+                 opt.prog.c_str(), scale.c_str());
+    std::exit(2);
   }
   opt.csv_dir = cli.get_or("csv", "");
   if (auto apps_arg = cli.get("apps")) {
@@ -53,7 +59,19 @@ Options Options::parse(int argc, char** argv) {
       std::exit(2);
     }
   }
-  opt.check.enabled = cli.has("check-consistency");
+  if (auto c = cli.get("check-consistency")) {
+    // A bare flag reads as "1"; anything else is a word the parser took as
+    // its value (`paper --check-consistency fig05_host_overhead`), which
+    // would otherwise be dropped without a word.
+    if (*c != "1") {
+      std::fprintf(stderr,
+                   "%s: --check-consistency takes no value, got '%s' (put "
+                   "names before the flags)\n",
+                   opt.prog.c_str(), c->c_str());
+      std::exit(2);
+    }
+    opt.check.enabled = true;
+  }
   opt.par_cores = std::max(1, static_cast<int>(cli.get_int("par-cores", 1)));
   if (opt.trace.enabled && opt.par_cores > 1) {
     // Catch the conflict at the CLI instead of the Machine constructor's
@@ -108,6 +126,19 @@ Options Options::parse(int argc, char** argv) {
   return opt;
 }
 
+void exit_on_failed_point(const char* argv0,
+                          std::span<const harness::AppRun> runs) {
+  const char* prog = argv0 != nullptr ? argv0 : "bench";
+  bool failed = false;
+  for (const harness::AppRun& r : runs) {
+    if (!r.failed()) continue;
+    failed = true;
+    std::fprintf(stderr, "%s: %s at %g failed: %s\n", prog, r.app.c_str(),
+                 r.param, r.error.c_str());
+  }
+  if (failed) std::exit(1);
+}
+
 int checked_total_procs(const char* argv0, const char* flag, long total,
                         int procs_per_node) {
   const char* prog = argv0 != nullptr ? argv0 : "bench";
@@ -146,118 +177,37 @@ SimConfig base_config() {
   return cfg;
 }
 
-std::vector<harness::SweepPoint> suite_points(
+void PointBuilder::add(const std::string& app, double value,
+                       const std::function<void(SimConfig&)>& edit) {
+  const int index = per_app_[app]++;
+  harness::SweepPoint p{app, base_config(), value};
+  if (edit) edit(p.cfg);
+  p.cfg.arch = opt_.arch;
+  p.cfg.topology = opt_.topology;
+  checked_topology(opt_.prog.c_str(), p.cfg.topology, p.cfg.comm.node_count());
+  p.cfg.par_cores = opt_.par_cores;
+  p.cfg.trace = opt_.trace;
+  if (opt_.trace.enabled) {
+    // Each point is its own Machine/run: give each its own trace file.
+    p.cfg.trace.path = opt_.trace.path + "." + figure_ + "." + app + "-" +
+                       std::to_string(index);
+  }
+  p.cfg.check = opt_.check;
+  if (opt_.check.enabled && opt_.trace.enabled) {
+    // A violating point dumps its trace for trace2chrome replay.
+    p.cfg.check.trace_path = p.cfg.trace.path + ".violation";
+  }
+  points_.push_back(std::move(p));
+}
+
+void PointBuilder::sweep(
     const std::vector<double>& values,
-    const std::function<void(SimConfig&, double)>& apply, const Options& opt) {
-  std::vector<harness::SweepPoint> points;
-  points.reserve(opt.app_names.size() * values.size());
-  for (const auto& app : opt.app_names) {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      harness::SweepPoint p{app, base_config(), values[i]};
-      apply(p.cfg, values[i]);
-      p.cfg.arch = opt.arch;
-      p.cfg.topology = opt.topology;
-      // apply() may resize the cluster, so fit is checked per point.
-      checked_topology(opt.prog.c_str(), p.cfg.topology,
-                       p.cfg.comm.node_count());
-      p.cfg.par_cores = opt.par_cores;
-      p.cfg.trace = opt.trace;
-      if (opt.trace.enabled) {
-        // Each point is its own Machine/run: give each its own trace file.
-        p.cfg.trace.path =
-            opt.trace.path + "." + app + "-" + std::to_string(i);
-      }
-      p.cfg.check = opt.check;
-      if (opt.check.enabled && opt.trace.enabled) {
-        // A violating point dumps its trace for trace2chrome replay.
-        p.cfg.check.trace_path = p.cfg.trace.path + ".violation";
-      }
-      points.push_back(std::move(p));
+    const std::function<void(SimConfig&, double)>& apply) {
+  for (const auto& app : opt_.app_names) {
+    for (double v : values) {
+      add(app, v, [&](SimConfig& c) { apply(c, v); });
     }
   }
-  return points;
-}
-
-std::vector<std::vector<harness::AppRun>> run_figure(
-    const std::string& figure, const std::string& param_name,
-    const std::vector<double>& values,
-    const std::function<void(SimConfig&, double)>& apply, const Options& opt,
-    harness::Sweep& sweep,
-    const std::function<std::string(double)>& value_label) {
-  auto label = [&](double v) {
-    return value_label ? value_label(v) : harness::fmt(v, 0);
-  };
-
-  std::vector<std::string> header{"application"};
-  for (double v : values) header.push_back(param_name + "=" + label(v));
-  harness::Table table(header);
-
-  // One flat batch across the whole suite: with --jobs > 1 every
-  // (app, value) point runs concurrently, not just the points of one app.
-  std::vector<harness::AppRun> flat =
-      sweep.run_points(suite_points(values, apply, opt), opt.pool());
-
-  // --check-consistency turns the bench into a pass/fail harness: any
-  // violation (already reported per-run on stderr) fails the process.
-  std::uint64_t violations = 0;
-  for (const auto& r : flat) violations += r.result.check_violations;
-  if (violations > 0) {
-    std::fprintf(stderr,
-                 "%s: consistency checker found %llu violation(s)\n",
-                 figure.c_str(),
-                 static_cast<unsigned long long>(violations));
-    std::exit(1);
-  }
-
-  std::vector<std::vector<harness::AppRun>> all;
-  auto it = flat.begin();
-  for (const auto& app : opt.app_names) {
-    std::vector<harness::AppRun> runs(
-        std::make_move_iterator(it),
-        std::make_move_iterator(it + static_cast<std::ptrdiff_t>(values.size())));
-    it += static_cast<std::ptrdiff_t>(values.size());
-    std::vector<std::string> row{app};
-    for (const auto& r : runs) row.push_back(harness::fmt(r.speedup()));
-    table.add_row(std::move(row));
-    all.push_back(std::move(runs));
-    std::fprintf(stderr, ".");
-    std::fflush(stderr);
-  }
-  std::fprintf(stderr, "\n");
-
-  std::printf("== %s: speedup (16 processors) vs %s ==\n", figure.c_str(),
-              param_name.c_str());
-  table.print();
-  harness::maybe_write_csv(table, opt.csv_dir, figure);
-  return all;
-}
-
-void print_relation(const std::string& figure,
-                    const std::string& slowdown_label,
-                    const std::string& metric_label,
-                    const std::vector<std::vector<harness::AppRun>>& sweeps,
-                    const std::function<double(const harness::AppRun&)>& metric,
-                    const Options& opt) {
-  std::vector<double> slowdowns;
-  std::vector<double> metrics;
-  for (const auto& runs : sweeps) {
-    slowdowns.push_back(std::max(0.0, harness::max_slowdown_pct(runs)));
-    metrics.push_back(metric(runs.front()));
-  }
-  const double max_s = std::max(1e-12, *std::max_element(slowdowns.begin(),
-                                                         slowdowns.end()));
-  const double max_m =
-      std::max(1e-12, *std::max_element(metrics.begin(), metrics.end()));
-
-  harness::Table table({"application", slowdown_label, metric_label});
-  for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    table.add_row({opt.app_names[i], harness::fmt(slowdowns[i] / max_s),
-                   harness::fmt(metrics[i] / max_m)});
-  }
-  std::printf("== %s: normalized %s vs normalized %s ==\n", figure.c_str(),
-              slowdown_label.c_str(), metric_label.c_str());
-  table.print();
-  harness::maybe_write_csv(table, opt.csv_dir, figure);
 }
 
 }  // namespace svmsim::bench

@@ -1,17 +1,20 @@
-// Shared infrastructure for the figure/table reproduction binaries.
+// Shared infrastructure for the bench executables: the option parser every
+// bench uses and the one builder of simulation points (PointBuilder).
 //
 // Every bench accepts:
-//   --scale=tiny|small|large   problem sizes (default small)
+//   --scale=tiny|small|large   problem sizes (default small; any other
+//                              value exits 2)
 //   --csv=<dir>                also dump machine-readable CSV
 //   --apps=a,b,c               restrict to a subset of the suite (an
 //                              unknown name exits 2)
 //   --jobs=N                   run up to N simulation points concurrently
 //                              (default: hardware concurrency; 1 = serial)
 //   --trace=<file>             record a binary event trace per sweep point
-//                              (each point writes <file>.<app>-<index>)
+//                              (each point writes <file>.<figure>.<app>-<i>)
 //   --trace-categories=a,b     restrict tracing to page,lock,net,irq,sched
 //   --check-consistency        run the shadow consistency checker on every
-//                              point (exit 1 if any violation is found)
+//                              point (exit 1 if any violation is found;
+//                              a value exits 2)
 //   --par-cores=N              run each simulation point on N partition
 //                              worker threads (PDES mode; results are
 //                              byte-identical to serial). The default job
@@ -33,8 +36,11 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -98,6 +104,12 @@ int checked_total_procs(const char* argv0, const char* flag, long total,
 /// point's cluster size is known.
 void checked_topology(const char* argv0, const topo::Spec& spec, int nodes);
 
+/// For benches that print raw results and have no failed cell: names every
+/// failed run on stderr and exits 1 when there is one, so a deadlock or a
+/// rejected config never passes as a row of zeros.
+void exit_on_failed_point(const char* argv0,
+                          std::span<const harness::AppRun> runs);
+
 struct Options {
   apps::Scale scale = apps::Scale::kSmall;
   std::string csv_dir;
@@ -131,31 +143,39 @@ struct Options {
 /// The paper's default machine at the achievable point.
 [[nodiscard]] SimConfig base_config();
 
-/// All points of an app-suite sweep (opt.app_names x values), in row-major
-/// order, ready for Sweep::run_points.
-[[nodiscard]] std::vector<harness::SweepPoint> suite_points(
-    const std::vector<double>& values,
-    const std::function<void(SimConfig&, double)>& apply, const Options& opt);
+/// The one way a bench builds simulation points. Every point starts at
+/// base_config(), takes the caller's edit, then every Options field that
+/// applies to a run: arch, topology (fit-checked against the point's node
+/// count, since the edit may resize the cluster; a misfit exits
+/// kExitBadTopology), par_cores, trace and check. With --trace, the i-th
+/// point of an app writes <prefix>.<figure>.<app>-<i>, so two figures of one
+/// run never share a trace file.
+class PointBuilder {
+ public:
+  PointBuilder(std::string figure, const Options& opt)
+      : figure_(std::move(figure)), opt_(opt) {}
 
-/// Run one parameter sweep over the whole suite and print the figure's
-/// series: one row per application, one speedup column per parameter value.
-/// Points run concurrently under opt.pool(). Returns all runs
-/// (apps x values) for further analysis.
-std::vector<std::vector<harness::AppRun>> run_figure(
-    const std::string& figure, const std::string& param_name,
-    const std::vector<double>& values,
-    const std::function<void(SimConfig&, double)>& apply, const Options& opt,
-    harness::Sweep& sweep,
-    const std::function<std::string(double)>& value_label = nullptr);
+  [[nodiscard]] const Options& opt() const { return opt_; }
 
-/// Normalized-correlation figure (Figures 6/9/11): slowdown between the
-/// sweep's endpoints, against a per-app predictor metric, both normalized
-/// to their maxima.
-void print_relation(const std::string& figure,
-                    const std::string& slowdown_label,
-                    const std::string& metric_label,
-                    const std::vector<std::vector<harness::AppRun>>& sweeps,
-                    const std::function<double(const harness::AppRun&)>& metric,
-                    const Options& opt);
+  /// One point: `app` at base_config() edited by `edit`, recorded as
+  /// AppRun::param `value`.
+  void add(const std::string& app, double value,
+           const std::function<void(SimConfig&)>& edit = nullptr);
+
+  /// Every app of opt().app_names at every value, row-major; apply(cfg, v)
+  /// writes the value into the point's config.
+  void sweep(const std::vector<double>& values,
+             const std::function<void(SimConfig&, double)>& apply);
+
+  [[nodiscard]] std::vector<harness::SweepPoint> take() {
+    return std::move(points_);
+  }
+
+ private:
+  std::string figure_;
+  const Options& opt_;
+  std::map<std::string, int> per_app_;  ///< points added so far, per app
+  std::vector<harness::SweepPoint> points_;
+};
 
 }  // namespace svmsim::bench

@@ -23,7 +23,8 @@
 // the first run on a fresh checkout must succeed.
 //
 // Exit status is nonzero if any parallel results differ from the serial
-// ones, so this doubles as a determinism check for CI.
+// ones, so this doubles as a determinism check for CI, and 1 if any point
+// fails (two failed arms would otherwise compare equal).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -94,6 +95,7 @@ Measurement measure(std::vector<AppRun>& out,
   const auto t0 = std::chrono::steady_clock::now();
   out = sweep.run_points(points, pool);
   const auto t1 = std::chrono::steady_clock::now();
+  svmsim::bench::exit_on_failed_point("perf_selfcheck", out);
   Measurement m;
   m.wall_seconds = std::chrono::duration<double>(t1 - t0).count();
   m.allocs = g_allocs.load(std::memory_order_relaxed) - a0;
@@ -223,7 +225,9 @@ int main(int argc, char** argv) {
   const auto apply = [](SimConfig& c, double v) {
     c.comm.host_overhead = static_cast<Cycles>(v);
   };
-  const auto points = bench::suite_points(values, apply, opt);
+  bench::PointBuilder builder("perf_selfcheck", opt);
+  builder.sweep(values, apply);
+  const auto points = builder.take();
 
   std::fprintf(stderr, "perf_selfcheck: %zu points (%zu apps x %zu values), "
                "serial then --jobs=%u\n",

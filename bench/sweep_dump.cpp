@@ -31,6 +31,9 @@
 // tools/topology_equivalence.sh holds byte-identical between serial and
 // --par-cores runs.
 //
+// A point that fails (a deadlock, a run past the cycle limit, a rejected
+// config) prints no dump: the process names it on stderr and exits 1.
+//
 // Keep the format append-only: the equivalence check compares byte-for-byte.
 #include <algorithm>
 #include <cstdio>
@@ -92,6 +95,7 @@ int main(int argc, char** argv) {
   }
 
   const auto runs = sweep.run_points(points);
+  bench::exit_on_failed_point(argc > 0 ? argv[0] : "sweep_dump", runs);
 
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& r = runs[i];

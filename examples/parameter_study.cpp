@@ -69,6 +69,13 @@ int main(int argc, char** argv) {
   harness::Table table({"parameter", "value", "speedup", "slowdown vs best"});
   for (const auto& s : studies) {
     auto runs = sweep.run_sweep(app, base, s.values, s.apply, pool.get());
+    for (const auto& r : runs) {
+      if (r.failed()) {
+        std::fprintf(stderr, "parameter_study: %s=%g failed: %s\n", s.name,
+                     r.param, r.error.c_str());
+        return 1;
+      }
+    }
     double best = 0;
     for (const auto& r : runs) best = std::max(best, r.speedup());
     for (const auto& r : runs) {

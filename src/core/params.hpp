@@ -44,6 +44,8 @@ struct CacheParams {
   std::uint32_t associativity;
   std::uint32_t line_bytes;
   Cycles hit_cycles;
+
+  bool operator==(const CacheParams&) const = default;
 };
 
 /// Fixed node/network architecture (paper §2). The simulated processor is a
@@ -106,6 +108,8 @@ struct ArchParams {
   /// diagnostic naming the offending field otherwise. The Machine
   /// constructor enforces this; benches map it to bench::kExitBadArch.
   [[nodiscard]] std::string validate() const;
+
+  bool operator==(const ArchParams&) const = default;
 };
 
 /// The communication parameters of Table 1 plus granularity parameters.
@@ -161,6 +165,8 @@ struct CommParams {
   [[nodiscard]] static CommParams best();
 
   [[nodiscard]] std::string describe() const;
+
+  bool operator==(const CommParams&) const = default;
 };
 
 /// Everything a run needs.
@@ -194,6 +200,10 @@ struct SimConfig {
   /// Consistency-checker settings (src/check/). Like tracing, the checker is
   /// passive: results are byte-identical with checking on or off.
   check::Config check;
+
+  /// Field-wise: two equal configs simulate the same run, so a sweep batch
+  /// simulates each distinct (app, config) once (harness::Sweep).
+  bool operator==(const SimConfig&) const = default;
 };
 
 }  // namespace svmsim

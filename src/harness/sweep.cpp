@@ -58,30 +58,67 @@ void Sweep::prewarm_baselines(const std::vector<SweepPoint>& points,
   std::vector<JobPool::Job> jobs;
   jobs.reserve(distinct.size());
   for (const SweepPoint* p : distinct) {
-    jobs.push_back([this, p] { baseline(p->app, p->cfg); });
+    jobs.push_back([this, p] {
+      // A baseline that throws is left uncached: the point's own run_point
+      // retries it and records the failure in its slot.
+      try {
+        baseline(p->app, p->cfg);
+      } catch (const std::exception&) {
+      }
+    });
   }
   pool->run(std::move(jobs));
 }
 
+std::vector<std::size_t> first_equal(const std::vector<SweepPoint>& points) {
+  std::vector<std::size_t> first(points.size());
+  std::map<std::string, std::vector<std::size_t>> by_app;  // distinct points
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    auto& seen = by_app[points[i].app];
+    const auto it = std::find_if(seen.begin(), seen.end(), [&](std::size_t j) {
+      return points[j].cfg == points[i].cfg;
+    });
+    first[i] = it != seen.end() ? *it : i;
+    if (it == seen.end()) seen.push_back(i);
+  }
+  return first;
+}
+
 std::vector<AppRun> Sweep::run_points(const std::vector<SweepPoint>& points,
+                                      std::span<const std::size_t> first,
                                       JobPool* pool) {
   std::vector<AppRun> out(points.size());
-  if (pool == nullptr || pool->size() <= 1 || points.size() <= 1) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      out[i] = run_point(points[i].app, points[i].cfg, points[i].value);
+  auto run_slot = [this, &points, &out](std::size_t i) {
+    const SweepPoint& p = points[i];
+    try {
+      out[i] = run_point(p.app, p.cfg, p.value);
+    } catch (const std::exception& e) {
+      out[i].app = p.app;
+      out[i].param = p.value;
+      out[i].error = e.what();
     }
-    return out;
-  }
-  // Baselines first, so the fan-out below never computes one twice.
-  prewarm_baselines(points, pool);
-  std::vector<JobPool::Job> jobs;
-  jobs.reserve(points.size());
+  };
+  std::vector<std::size_t> distinct;
   for (std::size_t i = 0; i < points.size(); ++i) {
-    jobs.push_back([this, &points, &out, i] {
-      out[i] = run_point(points[i].app, points[i].cfg, points[i].value);
-    });
+    if (first[i] == i) distinct.push_back(i);
   }
-  pool->run(std::move(jobs));
+  if (pool == nullptr || pool->size() <= 1 || distinct.size() <= 1) {
+    for (std::size_t i : distinct) run_slot(i);
+  } else {
+    // Baselines first, so the fan-out below never computes one twice.
+    prewarm_baselines(points, pool);
+    std::vector<JobPool::Job> jobs;
+    jobs.reserve(distinct.size());
+    for (std::size_t i : distinct) {
+      jobs.push_back([&run_slot, i] { run_slot(i); });
+    }
+    pool->run(std::move(jobs));
+  }
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (first[i] == i) continue;
+    out[i] = out[first[i]];
+    out[i].param = points[i].value;
+  }
   return out;
 }
 
@@ -99,7 +136,7 @@ std::vector<AppRun> Sweep::run_sweep(
   return run_points(points, pool);
 }
 
-double max_slowdown_pct(const std::vector<AppRun>& runs) {
+double max_slowdown_pct(std::span<const AppRun> runs) {
   if (runs.size() < 2) return 0.0;
   // The paper computes the slowdown between the smallest and the biggest
   // value of the swept parameter: first point vs last point.

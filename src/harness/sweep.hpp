@@ -1,4 +1,4 @@
-// Parameter-sweep driver used by the figure/table benches: runs an
+// Parameter-sweep driver used by the paper driver (bench/paper): runs an
 // application suite across a list of configurations, caching the
 // uniprocessor baseline per application, and computes the paper's speedup
 // metrics (achievable / best / ideal).
@@ -9,6 +9,8 @@
 // the points out across the pool's workers after pre-warming every distinct
 // baseline, and its results are bit-identical to the serial path: each point
 // owns its Machine/EventQueue and writes an insertion-ordered result slot.
+// A batch simulates each distinct (app, SimConfig) once, and a point that
+// throws becomes a failed slot instead of ending the batch.
 #pragma once
 
 #include <compare>
@@ -16,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +34,12 @@ struct AppRun {
   double param = 0.0;       ///< swept parameter value for this point
   RunResult result;
   Cycles uniprocessor = 0;  ///< baseline time for this app
+  /// Why the point failed (deadlock, failed validation, a rejected config),
+  /// empty when it ran. A failed run has no result: print it as a failed
+  /// cell, never as a number.
+  std::string error;
 
+  [[nodiscard]] bool failed() const { return !error.empty(); }
   [[nodiscard]] double speedup() const {
     return result.time > 0
                ? static_cast<double>(uniprocessor) /
@@ -55,6 +63,12 @@ struct SweepPoint {
   double value = 0.0;  ///< recorded as AppRun::param
 };
 
+/// For each point, the index of the first point with the same app and
+/// config: its own index when it is the first. run_points simulates exactly
+/// the points whose entry is their own index.
+[[nodiscard]] std::vector<std::size_t> first_equal(
+    const std::vector<SweepPoint>& points);
+
 class Sweep {
  public:
   explicit Sweep(apps::Scale scale) : scale_(scale) {}
@@ -68,9 +82,19 @@ class Sweep {
 
   /// Run every point, concurrently on `pool` when it has more than one
   /// worker (serially otherwise). Results are returned in point order
-  /// regardless of completion order.
+  /// regardless of completion order. Each distinct (app, cfg) is simulated
+  /// once and copied into its duplicate slots, which keep their own param.
+  /// A point whose run throws gets AppRun::error set; the rest still run,
+  /// so a caller that cannot print a failed point must check failed().
   std::vector<AppRun> run_points(const std::vector<SweepPoint>& points,
-                                 JobPool* pool = nullptr);
+                                 JobPool* pool = nullptr) {
+    return run_points(points, first_equal(points), pool);
+  }
+  /// The same, with `first` = first_equal(points) already computed by a
+  /// caller that also reports the distinct points.
+  std::vector<AppRun> run_points(const std::vector<SweepPoint>& points,
+                                 std::span<const std::size_t> first,
+                                 JobPool* pool);
 
   /// Sweep `values`; `apply` writes the value into a config copy.
   std::vector<AppRun> run_sweep(
@@ -106,6 +130,6 @@ class Sweep {
 
 /// Max slowdown between the best and the worst speedup in a sweep, as a
 /// percentage (Table 3). Negative values indicate a speedup.
-[[nodiscard]] double max_slowdown_pct(const std::vector<AppRun>& runs);
+[[nodiscard]] double max_slowdown_pct(std::span<const AppRun> runs);
 
 }  // namespace svmsim::harness

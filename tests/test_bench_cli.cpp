@@ -1,16 +1,20 @@
-// CLI-layer tests for the shared bench option parser (bench_common): the
-// --trace / --par-cores conflict must terminate with its own exit code
-// (kExitTracedParallel) and a diagnostic naming both flags and the docs,
-// an unknown --apps name is a usage error, and --par-cores / --topology
-// propagate into every sweep point. Exit codes are part of the contract —
-// scripts branch on them — so the failure paths are exercised as death/exit
-// tests.
+// CLI-layer tests for the shared bench option parser (bench_common) and the
+// paper driver's figure table (figures.hpp): the --trace / --par-cores
+// conflict must terminate with its own exit code (kExitTracedParallel) and a
+// diagnostic naming both flags and the docs, an unknown --apps, --scale or
+// figure name and a valued --check-consistency are usage errors, a failed
+// point ends the raw-result drivers with exit 1, and every Options field
+// reaches every point of every figure. Exit codes are part of the contract — scripts branch on
+// them — so the failure paths are exercised as death/exit tests.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "figures.hpp"
 
 namespace svmsim::bench {
 namespace {
@@ -24,6 +28,13 @@ Options parse(std::vector<std::string> args) {
   argv.reserve(args.size());
   for (auto& a : args) argv.push_back(a.data());
   return Options::parse(static_cast<int>(argv.size()), argv.data());
+}
+
+/// The single point PointBuilder makes for the first --apps entry.
+std::vector<harness::SweepPoint> one_point(const Options& opt) {
+  PointBuilder b("test", opt);
+  b.add(opt.app_names.front(), 0.0);
+  return b.take();
 }
 
 TEST(BenchCliDeathTest, TracedParallelExitsWithDistinctCode) {
@@ -46,6 +57,48 @@ TEST(BenchCliDeathTest, UnknownAppExitsWithUsageCode) {
 TEST(BenchCliDeathTest, MalformedStressSeedExitsWithUsageCode) {
   EXPECT_EXIT(parse({"--apps=stress-gen@x"}), ::testing::ExitedWithCode(2),
               "unknown --apps value 'stress-gen@x'");
+}
+
+TEST(BenchCliDeathTest, UnknownScaleExitsWithUsageCode) {
+  EXPECT_EXIT(parse({"--scale=smal"}), ::testing::ExitedWithCode(2),
+              "unknown --scale value 'smal'");
+}
+
+TEST(BenchCliDeathTest, ValuedCheckConsistencyExitsWithUsageCode) {
+  // The Cli reads a word after a bare flag as its value: a figure name put
+  // after --check-consistency must not vanish into it.
+  EXPECT_EXIT(parse({"--check-consistency", "fig05_host_overhead"}),
+              ::testing::ExitedWithCode(2),
+              "--check-consistency takes no value, got "
+              "'fig05_host_overhead'");
+}
+
+TEST(BenchCli, BareCheckConsistencyParses) {
+  EXPECT_TRUE(parse({"--check-consistency"}).check.enabled);
+  EXPECT_FALSE(parse({}).check.enabled);
+}
+
+TEST(BenchCliDeathTest, FailedPointExitsOne) {
+  // ArchParams::validate() rejects a zero link bandwidth, so that point's
+  // Machine constructor throws and run_points records a failed slot; the
+  // drivers that print raw results must not pass it off as a row of zeros.
+  SimConfig bad = base_config();
+  bad.arch.link_bytes_per_cycle = 0;
+  harness::Sweep sweep(apps::Scale::kTiny);
+  const auto runs =
+      sweep.run_points({{"fft", base_config(), 0.0}, {"fft", bad, 1.0}});
+  ASSERT_FALSE(runs[0].failed()) << runs[0].error;
+  exit_on_failed_point("bench_test", std::span(runs).first(1));  // returns
+  EXPECT_EXIT(exit_on_failed_point("bench_test", runs),
+              ::testing::ExitedWithCode(1),
+              "bench_test: fft at 1 failed: .*link_bytes_per_cycle");
+}
+
+TEST(BenchCli, KnownScalesParse) {
+  EXPECT_EQ(parse({"--scale=tiny"}).scale, apps::Scale::kTiny);
+  EXPECT_EQ(parse({"--scale=small"}).scale, apps::Scale::kSmall);
+  EXPECT_EQ(parse({"--scale=large"}).scale, apps::Scale::kLarge);
+  EXPECT_EQ(parse({}).scale, apps::Scale::kSmall);
 }
 
 TEST(BenchCli, KnownAppsParse) {
@@ -91,7 +144,7 @@ TEST(BenchCli, TraceAloneAndParCoresAloneAreAccepted) {
 
 TEST(BenchCli, SweepPointsCarryParCores) {
   auto opt = parse({"--par-cores=2", "--apps=fft"});
-  auto pts = suite_points({0.0}, [](SimConfig&, double) {}, opt);
+  auto pts = one_point(opt);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_EQ(pts[0].cfg.par_cores, 2);
 }
@@ -131,7 +184,7 @@ TEST(BenchCliDeathTest, SweepPointsRejectUnfittingTopology) {
   // the misfit must surface at point-construction time, not as a Machine
   // constructor throw mid-sweep.
   auto opt = parse({"--topology=torus:4x4", "--apps=fft"});
-  EXPECT_EXIT(suite_points({0.0}, [](SimConfig&, double) {}, opt),
+  EXPECT_EXIT(one_point(opt),
               ::testing::ExitedWithCode(kExitBadTopology), "does not fit");
 }
 
@@ -164,7 +217,7 @@ TEST(BenchCli, TopologyFlagParsesAndPropagates) {
 
   // A fitting spec lands on every sweep point (default machine: 4 nodes).
   auto opt = parse({"--topology=torus:2x2", "--apps=fft"});
-  auto pts = suite_points({0.0}, [](SimConfig&, double) {}, opt);
+  auto pts = one_point(opt);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_EQ(pts[0].cfg.topology.kind, topo::Kind::kTorus);
 }
@@ -174,10 +227,64 @@ TEST(BenchCli, ArchOverridesPropagateWhenValid) {
                     "--apps=fft"});
   EXPECT_DOUBLE_EQ(opt.arch.link_bytes_per_cycle, 4.0);
   EXPECT_EQ(opt.arch.wire_latency_cycles, 50u);
-  auto pts = suite_points({0.0}, [](SimConfig&, double) {}, opt);
+  auto pts = one_point(opt);
   ASSERT_EQ(pts.size(), 1u);
   EXPECT_DOUBLE_EQ(pts[0].cfg.arch.link_bytes_per_cycle, 4.0);
   EXPECT_EQ(pts[0].cfg.arch.wire_latency_cycles, 50u);
+}
+
+// ---- The paper driver's figures: one point path for all of them. ----
+
+TEST(PaperFigures, EveryPointCarriesEveryOption) {
+  // Two option sets, because --trace excludes --par-cores > 1. fattree:4
+  // fits every cluster the figures build (1 to 16 nodes).
+  const Options parallel =
+      parse({"--par-cores=2", "--topology=fattree:4", "--wire-latency=50",
+             "--link-bytes-per-cycle=4", "--check-consistency",
+             "--apps=fft,lu"});
+  const Options traced = parse({"--trace=/tmp/paper_test.bin",
+                                "--check-consistency", "--apps=fft,lu"});
+  std::set<std::string> trace_paths;
+  for (const Figure& f : figures()) {
+    for (const Options* opt : {&parallel, &traced}) {
+      const auto pts = figure_points(f, *opt);
+      EXPECT_EQ(pts.empty(), f.name == "table1_params") << f.name;
+      for (const auto& p : pts) {
+        EXPECT_EQ(p.cfg.arch, opt->arch) << f.name;
+        EXPECT_EQ(p.cfg.topology, opt->topology) << f.name;
+        EXPECT_EQ(p.cfg.par_cores, opt->par_cores) << f.name;
+        EXPECT_EQ(p.cfg.trace.enabled, opt->trace.enabled) << f.name;
+        EXPECT_EQ(p.cfg.trace.mask, opt->trace.mask) << f.name;
+        EXPECT_TRUE(p.cfg.check.enabled) << f.name;
+        if (!opt->trace.enabled) continue;
+        const std::string prefix =
+            "/tmp/paper_test.bin." + f.name + "." + p.app + "-";
+        EXPECT_EQ(p.cfg.trace.path.rfind(prefix, 0), 0u) << p.cfg.trace.path;
+        EXPECT_EQ(p.cfg.check.trace_path, p.cfg.trace.path + ".violation");
+        EXPECT_TRUE(trace_paths.insert(p.cfg.trace.path).second)
+            << "two points write " << p.cfg.trace.path;
+      }
+    }
+  }
+}
+
+TEST(PaperFigures, NoNameSelectsEveryFigureInPaperOrder) {
+  const auto all = select_figures({}, "paper");
+  ASSERT_EQ(all.size(), 22u);
+  EXPECT_EQ(all.front()->name, "table1_params");
+  EXPECT_EQ(all[5]->name, "fig05_host_overhead");
+  EXPECT_EQ(all.back()->name, "extra_multi_nic");
+  const auto two = select_figures({"table3_max_slowdowns", "fig01_speedups"},
+                                  "paper");
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_EQ(two[0]->name, "table3_max_slowdowns");
+  EXPECT_EQ(two[1]->name, "fig01_speedups");
+}
+
+TEST(PaperFiguresDeathTest, UnknownFigureExitsWithUsageCode) {
+  EXPECT_EXIT((void)select_figures({"fig05_host_overhead", "fig99"}, "paper"),
+              ::testing::ExitedWithCode(2),
+              "unknown figure 'fig99'; valid names:");
 }
 
 }  // namespace

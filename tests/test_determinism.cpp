@@ -64,6 +64,9 @@ TEST(Determinism, SerialAndParallelSweepIdentical) {
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
+    // Two failed slots would compare equal.
+    EXPECT_FALSE(serial[i].failed()) << serial[i].error;
+    EXPECT_FALSE(parallel[i].failed()) << parallel[i].error;
     EXPECT_EQ(serial[i].app, parallel[i].app) << "point " << i;
     EXPECT_EQ(serial[i].param, parallel[i].param) << "point " << i;
     EXPECT_EQ(serial[i].uniprocessor, parallel[i].uniprocessor)

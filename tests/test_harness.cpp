@@ -1,9 +1,12 @@
-// Harness utilities: CLI parsing and table/CSV formatting.
+// Harness utilities: CLI parsing, table/CSV formatting, and the sweep
+// batch's de-duplication and failed-point semantics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "harness/job_pool.hpp"
 
 #include "harness/cli.hpp"
 #include "harness/report.hpp"
@@ -138,6 +141,74 @@ TEST(MaxSlowdown, InvalidLastPointIsZero) {
   std::vector<AppRun> runs{run_with_speedup(400, 100),
                            run_with_speedup(400, 0)};
   EXPECT_DOUBLE_EQ(max_slowdown_pct(runs), 0.0);
+}
+
+SimConfig with_overhead(Cycles overhead) {
+  SimConfig cfg;
+  cfg.comm = CommParams::achievable();
+  cfg.comm.host_overhead = overhead;
+  return cfg;
+}
+
+void expect_same_run(const AppRun& got, const AppRun& want) {
+  EXPECT_FALSE(got.failed()) << got.error;
+  EXPECT_EQ(got.app, want.app);
+  EXPECT_EQ(got.uniprocessor, want.uniprocessor);
+  EXPECT_EQ(got.result.time, want.result.time);
+  EXPECT_EQ(got.result.events, want.result.events);
+  EXPECT_TRUE(got.result.stats == want.result.stats);
+  EXPECT_TRUE(got.result.stats.counters() == want.result.stats.counters());
+}
+
+TEST(RunPoints, DuplicatePointsShareOneRunAndKeepTheirParam) {
+  const SimConfig a = with_overhead(500);
+  const SimConfig b = with_overhead(2000);
+  const std::vector<SweepPoint> batch{{"fft", a, 1.0}, {"fft", b, 2.0},
+                                      {"fft", a, 3.0}};
+  EXPECT_EQ(first_equal(batch), (std::vector<std::size_t>{0, 1, 0}));
+
+  Sweep alone(apps::Scale::kTiny);
+  const AppRun run_a = alone.run_point("fft", a, 0.0);
+  const AppRun run_b = alone.run_point("fft", b, 0.0);
+  JobPool pool(2);
+  for (JobPool* p : {static_cast<JobPool*>(nullptr), &pool}) {
+    Sweep sweep(apps::Scale::kTiny);
+    const auto out = sweep.run_points(batch, p);
+    ASSERT_EQ(out.size(), 3u);
+    expect_same_run(out[0], run_a);
+    expect_same_run(out[1], run_b);
+    expect_same_run(out[2], run_a);
+    EXPECT_EQ(out[0].param, 1.0);
+    EXPECT_EQ(out[1].param, 2.0);
+    EXPECT_EQ(out[2].param, 3.0);
+  }
+}
+
+TEST(RunPoints, ThrowingPointBecomesAFailedSlot) {
+  // ArchParams::validate() rejects a zero link bandwidth, so the Machine
+  // constructor throws for this point; the batch must record that and still
+  // run the points around it.
+  SimConfig bad = with_overhead(500);
+  bad.arch.link_bytes_per_cycle = 0;
+  const std::vector<SweepPoint> batch{{"fft", with_overhead(500), 1.0},
+                                      {"fft", bad, 2.0},
+                                      {"lu", with_overhead(500), 3.0}};
+  Sweep alone(apps::Scale::kTiny);
+  const AppRun fft = alone.run_point("fft", batch[0].cfg, 0.0);
+  const AppRun lu = alone.run_point("lu", batch[2].cfg, 0.0);
+  JobPool pool(2);
+  for (JobPool* p : {static_cast<JobPool*>(nullptr), &pool}) {
+    Sweep sweep(apps::Scale::kTiny);
+    const auto out = sweep.run_points(batch, p);
+    ASSERT_EQ(out.size(), 3u);
+    expect_same_run(out[0], fft);
+    expect_same_run(out[2], lu);
+    EXPECT_TRUE(out[1].failed());
+    EXPECT_NE(out[1].error.find("link_bytes_per_cycle"), std::string::npos)
+        << out[1].error;
+    EXPECT_EQ(out[1].app, "fft");
+    EXPECT_EQ(out[1].param, 2.0);
+  }
 }
 
 TEST(Fmt, Precision) {

@@ -27,7 +27,10 @@ cmake --build "$build_dir" -j "$(nproc)"
 # symmetric transfer (same story as the sanitizer build — see
 # tools/sanitize.sh), so long synchronous co_await chains consume real
 # stack. Raise the limit rather than shrinking the tests.
-ulimit -s unlimited 2>/dev/null || ulimit -s 1048576 || true
+# A finite limit, not unlimited: glibc sizes every new thread's stack from
+# it (an unlimited limit gives threads 2 MiB), and the --jobs pool of
+# paper_suite_tiny runs the same deep chains on worker threads.
+ulimit -s 1048576 2>/dev/null || ulimit -s unlimited 2>/dev/null || true
 
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
   -E 'equivalence|traced_sweep|checked_sweep'

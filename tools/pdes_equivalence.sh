@@ -64,7 +64,7 @@ fi
 # The PR-5 checked matrix, now on four partition workers. Exit status is the
 # verdict (the figure output itself legitimately differs from serial runs
 # only in wall-clock, which it does not print).
-"$build_dir/bench/fig05_host_overhead" --scale=tiny --jobs=2 \
+"$build_dir/bench/paper" fig05_host_overhead --scale=tiny --jobs=2 \
   --apps=stress-gen@3,stress-gen@11 --check-consistency --par-cores=4 \
   > "$out_dir/fig05-checked-par4.txt"
 

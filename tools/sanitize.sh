@@ -46,15 +46,23 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 # Sanitizer instrumentation defeats the tail calls behind coroutine symmetric
 # transfer, so long synchronous co_await chains consume real stack that the
 # optimized build does not. Raise the limit rather than shrinking the tests.
-ulimit -s unlimited 2>/dev/null || ulimit -s 1048576 || true
+# A finite limit, not unlimited: glibc sizes every new thread's stack from
+# it (an unlimited limit gives threads 2 MiB), and the --jobs pool of
+# paper_suite_tiny runs the same deep chains on worker threads.
+ulimit -s 1048576 2>/dev/null || ulimit -s unlimited 2>/dev/null || true
 
 if [ "$mode" = "thread" ]; then
-  # The threaded subset: PDES partitioning and channels, the --jobs pool,
-  # the machine/runner teardown paths they stress, and the PageDirectory
-  # 256-node growth-under-concurrent-scans test (docs/scaling.md).
+  # The threaded subset: PDES partitioning and channels, the --jobs pool
+  # and the sweep batch that fans out on it, the machine/runner teardown
+  # paths they stress, and the PageDirectory 256-node
+  # growth-under-concurrent-scans test (docs/scaling.md).
   ctest --test-dir "$build_dir" --output-on-failure \
-    -R 'test_(partition|ring_queue|job_pool|determinism|machine|page_directory)' \
+    -R 'test_(partition|ring_queue|job_pool|determinism|machine|page_directory|harness)' \
     "$@"
+  # The paper driver's one batch on four jobs: duplicate slots are copied
+  # from their first run after the fan-out, and failed slots are written by
+  # the worker that caught the exception.
+  "$build_dir/bench/paper" --scale=tiny --jobs=4 --apps=fft,lu > /dev/null
   # Whole-binary PDES pass: every sweep point on 4 partition workers, with
   # the checker's cross-thread hooks enabled (exit 1 on any violation) — the
   # combining barrier and the batched channels must be race-free.

@@ -11,7 +11,7 @@ build_dir="${1:?usage: traced_sweep_check.sh <build_dir>}"
 out="$build_dir/traced_sweep"
 rm -f "$out".bin.*
 
-"$build_dir/bench/fig05_host_overhead" --scale=tiny --apps=fft,lu \
+"$build_dir/bench/paper" fig05_host_overhead --scale=tiny --apps=fft,lu \
     --trace="$out.bin" > /dev/null
 traces=("$out".bin.*)
 if [ "${#traces[@]}" -lt 2 ]; then
