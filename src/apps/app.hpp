@@ -6,20 +6,62 @@
 #pragma once
 
 #include <cassert>
+#include <coroutine>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/machine.hpp"
 #include "core/runner.hpp"
 #include "engine/task.hpp"
 #include "svm/address_space.hpp"
+#include "svm/hlrc.hpp"
 
 namespace svmsim::apps {
 
 using svm::Distribution;
 using svm::GlobalAddr;
+
+/// The awaitable behind Shm::read<T>/write<T>: one access of a T through
+/// the node's SVM agent. await_ready() runs the agent's synchronous hit path
+/// (SvmAgent::advance); only a page fault, a write to a page that is not
+/// read-write, or a read miss builds a coroutine (SvmAgent::finish), which
+/// resumes the access where the hit path stopped. `value_` is the access's
+/// buffer, so it stays in the awaiting frame across that suspension.
+template <typename T, typename Access>
+class [[nodiscard]] ShmAccess {
+  static_assert(std::is_trivially_copyable_v<T>);
+  static constexpr bool kRead =
+      std::is_same_v<Access, svm::SvmAgent::ReadAccess>;
+
+ public:
+  ShmAccess(svm::SvmAgent& agent, Processor& proc, GlobalAddr a, T v)
+      : agent_(&agent), proc_(&proc), addr_(a), value_(v) {}
+
+  bool await_ready() {
+    access_ = {addr_, sizeof(T), reinterpret_cast<std::byte*>(&value_)};
+    return agent_->advance(*proc_, access_);
+  }
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> caller) {
+    slow_ = agent_->finish(*proc_, access_);
+    return std::move(slow_).operator co_await().await_suspend(caller);
+  }
+  auto await_resume() {
+    if (slow_.valid()) std::move(slow_).operator co_await().await_resume();
+    if constexpr (kRead) return value_;
+  }
+
+ private:
+  svm::SvmAgent* agent_;
+  Processor* proc_;
+  GlobalAddr addr_;
+  T value_;
+  Access access_{};
+  engine::Task<void> slow_;
+};
 
 class Shm {
  public:
@@ -40,15 +82,13 @@ class Shm {
   void compute(Cycles c) { proc_->charge(TimeCat::kCompute, c); }
 
   template <typename T>
-  engine::Task<T> read(GlobalAddr a) {
-    T v{};
-    co_await agent_->read(*proc_, a, &v, sizeof(T));
-    co_return v;
+  ShmAccess<T, svm::SvmAgent::ReadAccess> read(GlobalAddr a) {
+    return {*agent_, *proc_, a, T{}};
   }
 
   template <typename T>
-  engine::Task<void> write(GlobalAddr a, T v) {
-    co_await agent_->write(*proc_, a, &v, sizeof(T));
+  ShmAccess<T, svm::SvmAgent::WriteAccess> write(GlobalAddr a, T v) {
+    return {*agent_, *proc_, a, v};
   }
 
   engine::Task<void> read_block(GlobalAddr a, void* dst,
@@ -103,10 +143,8 @@ class SharedArray {
   }
   [[nodiscard]] std::uint64_t size() const noexcept { return count_; }
 
-  engine::Task<T> get(Shm& shm, std::uint64_t i) const {
-    return shm.read<T>(addr(i));
-  }
-  engine::Task<void> put(Shm& shm, std::uint64_t i, T v) const {
+  auto get(Shm& shm, std::uint64_t i) const { return shm.read<T>(addr(i)); }
+  auto put(Shm& shm, std::uint64_t i, T v) const {
     return shm.write<T>(addr(i), v);
   }
   engine::Task<void> get_block(Shm& shm, std::uint64_t i, T* dst,

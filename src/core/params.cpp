@@ -1,5 +1,6 @@
 #include "core/params.hpp"
 
+#include <bit>
 #include <sstream>
 
 namespace svmsim {
@@ -14,7 +15,28 @@ std::string to_string(Protocol p) {
   return "?";
 }
 
+std::string CacheParams::validate() const {
+  if (size_bytes == 0) return "size_bytes must be nonzero";
+  if (associativity == 0) return "associativity must be nonzero";
+  if (!std::has_single_bit(line_bytes)) {
+    return "line_bytes must be a power of two";
+  }
+  const std::uint64_t way_bytes =
+      static_cast<std::uint64_t>(line_bytes) * associativity;
+  if (!std::has_single_bit(size_bytes / way_bytes)) {
+    return "size_bytes / (line_bytes * associativity) sets must be a power "
+           "of two";
+  }
+  return {};
+}
+
 std::string ArchParams::validate() const {
+  if (const std::string err = l1.validate(); !err.empty()) {
+    return "l1." + err;
+  }
+  if (const std::string err = l2.validate(); !err.empty()) {
+    return "l2." + err;
+  }
   // !(x > 0) instead of x <= 0: a NaN bandwidth must fail too.
   if (!(link_bytes_per_cycle > 0.0)) {
     return "link_bytes_per_cycle must be > 0";

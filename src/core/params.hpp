@@ -45,6 +45,12 @@ struct CacheParams {
   std::uint32_t line_bytes;
   Cycles hit_cycles;
 
+  /// The tag store (memsys::Cache) indexes sets with a shift and a mask, so
+  /// it needs a nonzero size and associativity and a power-of-two line size
+  /// and set count. Returns an empty string when valid, a diagnostic naming
+  /// the offending field otherwise.
+  [[nodiscard]] std::string validate() const;
+
   bool operator==(const CacheParams&) const = default;
 };
 
@@ -100,13 +106,14 @@ struct ArchParams {
   Cycles smp_lock_cycles = 60;      // uncontended in-node lock acquire
   Cycles smp_barrier_cycles = 200;  // in-node hierarchical barrier stage
 
-  /// Sanity-check the divisors and latency floors the network layer relies
-  /// on: every link bandwidth must be > 0 (min_serialization and
-  /// transmit() divide by it) and every wire/hop latency nonzero (delivery
-  /// events must land strictly in the future — the wire band and the PDES
-  /// lookahead both require it). Returns an empty string when valid, a
-  /// diagnostic naming the offending field otherwise. The Machine
-  /// constructor enforces this; benches map it to bench::kExitBadArch.
+  /// Sanity-check the cache geometries (CacheParams::validate) and the
+  /// divisors and latency floors the network layer relies on: every link
+  /// bandwidth must be > 0 (min_serialization and transmit() divide by it)
+  /// and every wire/hop latency nonzero (delivery events must land strictly
+  /// in the future — the wire band and the PDES lookahead both require it).
+  /// Returns an empty string when valid, a diagnostic naming the offending
+  /// field otherwise. The Machine constructor enforces this; benches map it
+  /// to bench::kExitBadArch.
   [[nodiscard]] std::string validate() const;
 
   bool operator==(const ArchParams&) const = default;

@@ -1,93 +1,99 @@
 #include "memsys/cache.hpp"
 
+#include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace svmsim::memsys {
 
 Cache::Cache(const CacheParams& p) : params_(p) {
-  assert(p.line_bytes > 0 && p.associativity > 0);
-  sets_ = p.size_bytes / (p.line_bytes * p.associativity);
-  assert(sets_ > 0 && (sets_ & (sets_ - 1)) == 0 &&
-         "cache set count must be a power of two");
-  lines_.resize(static_cast<std::size_t>(sets_) * p.associativity);
-}
-
-Cache::Line* Cache::find(std::uint64_t line_addr) {
-  const std::uint32_t s = set_of(line_addr);
-  Line* base = &lines_[static_cast<std::size_t>(s) * params_.associativity];
-  for (std::uint32_t w = 0; w < params_.associativity; ++w) {
-    if (base[w].valid && base[w].addr == line_addr) return &base[w];
+  if (const std::string err = p.validate(); !err.empty()) {
+    throw std::invalid_argument("cache: " + err);
   }
-  return nullptr;
+  ways_ = p.associativity;
+  sets_ = p.size_bytes / (p.line_bytes * p.associativity);
+  line_shift_ = static_cast<std::uint32_t>(std::countr_zero(p.line_bytes));
+  set_mask_ = sets_ - 1;
+  slots_.assign(static_cast<std::size_t>(sets_) * ways_, 0);
 }
 
-const Cache::Line* Cache::find(std::uint64_t line_addr) const {
-  return const_cast<Cache*>(this)->find(line_addr);
+std::uint32_t Cache::find(const Slot* set, std::uint64_t line) const noexcept {
+  const Slot tag = tag_of(line);
+  std::uint32_t w = 0;
+  for (; w < ways_ && set[w] != 0; ++w) {
+    if ((set[w] & ~Slot{1}) == tag) return w;
+  }
+  return ways_;
+}
+
+void Cache::drop(Slot* set, std::uint32_t w) noexcept {
+  for (; w + 1 < ways_; ++w) set[w] = set[w + 1];
+  set[ways_ - 1] = 0;
 }
 
 bool Cache::lookup(std::uint64_t line_addr, bool mark_dirty) {
-  if (Line* l = find(line_addr)) {
-    l->lru = ++tick_;
-    if (mark_dirty) l->dirty = true;
-    ++hits_;
-    return true;
+  const std::uint64_t line = line_addr >> line_shift_;
+  Slot* set = set_of(line);
+  const std::uint32_t w = find(set, line);
+  if (w == ways_) {
+    ++misses_;
+    return false;
   }
-  ++misses_;
-  return false;
+  const Slot hit = set[w] | static_cast<Slot>(mark_dirty);
+  for (std::uint32_t i = w; i > 0; --i) set[i] = set[i - 1];
+  set[0] = hit;
+  ++hits_;
+  return true;
 }
 
 bool Cache::contains(std::uint64_t line_addr) const {
-  return find(line_addr) != nullptr;
+  const std::uint64_t line = line_addr >> line_shift_;
+  return find(set_of(line), line) != ways_;
 }
 
 Cache::Victim Cache::fill(std::uint64_t line_addr, bool dirty) {
-  const std::uint32_t s = set_of(line_addr);
-  Line* base = &lines_[static_cast<std::size_t>(s) * params_.associativity];
-  Line* victim = &base[0];
-  for (std::uint32_t w = 0; w < params_.associativity; ++w) {
-    Line& l = base[w];
-    if (!l.valid) {
-      victim = &l;
-      break;
-    }
-    if (l.lru < victim->lru) victim = &l;
-  }
+  assert(!contains(line_addr) && "fill of a resident line");
+  const std::uint64_t line = line_addr >> line_shift_;
+  Slot* set = set_of(line);
+  const Slot last = set[ways_ - 1];  // the LRU way, or an empty one
   Victim out;
-  if (victim->valid) {
+  if (last != 0) {
     out.evicted = true;
-    out.dirty = victim->dirty;
-    out.line_addr = victim->addr;
+    out.dirty = (last & 1) != 0;
+    out.line_addr = ((last >> 1) - 1) << line_shift_;
   }
-  victim->valid = true;
-  victim->addr = line_addr;
-  victim->dirty = dirty;
-  victim->lru = ++tick_;
+  for (std::uint32_t i = ways_ - 1; i > 0; --i) set[i] = set[i - 1];
+  set[0] = tag_of(line) | static_cast<Slot>(dirty);
   return out;
 }
 
 void Cache::invalidate_range(std::uint64_t start, std::uint64_t len) {
-  const std::uint64_t end = start + len;
   const std::uint64_t lb = params_.line_bytes;
-  // Every resident addr is line-aligned (fills always pass ln * line_bytes),
-  // so probing the aligned addresses of [start, end) drops exactly the lines
-  // a full scan would: O(range / line) set probes instead of O(cache size)
-  // per SVM page invalidation. Ranges wider than the tag store fall back to
-  // the scan.
-  std::uint64_t a = start + (lb - start % lb) % lb;
-  if (a >= end) return;
-  if ((end - a) / lb >= lines_.size()) {
-    for (auto& l : lines_) {
-      if (l.valid && l.addr >= start && l.addr < end) {
-        l.valid = false;
-        l.dirty = false;
-      }
+  // Lines whose first byte lies in [start, start+len).
+  const std::uint64_t first = (start + lb - 1) >> line_shift_;
+  const std::uint64_t end = (start + len + lb - 1) >> line_shift_;
+  if (first >= end) return;
+  // Probing each line costs O(range / line) set lookups per SVM page
+  // invalidation; ranges with at least as many lines as the tag store has
+  // slots fall back to one scan of every set.
+  if (end - first < slots_.size()) {
+    for (std::uint64_t line = first; line < end; ++line) {
+      Slot* set = set_of(line);
+      const std::uint32_t w = find(set, line);
+      if (w != ways_) drop(set, w);
     }
     return;
   }
-  for (; a < end; a += lb) {
-    if (Line* l = find(a)) {
-      l->valid = false;
-      l->dirty = false;
+  for (std::size_t s = 0; s < slots_.size(); s += ways_) {
+    Slot* set = &slots_[s];
+    for (std::uint32_t w = 0; w < ways_ && set[w] != 0;) {
+      const std::uint64_t line = (set[w] >> 1) - 1;
+      if (line >= first && line < end) {
+        drop(set, w);
+      } else {
+        ++w;
+      }
     }
   }
 }

@@ -10,8 +10,14 @@
 
 namespace svmsim::memsys {
 
+/// Tag layout: each way is one 8-byte slot, 0 when invalid and otherwise
+/// `(line + 1) << 1 | dirty` with `line = line_addr >> log2(line_bytes)`.
+/// The ways of a set are kept in recency order (way 0 most recent, valid
+/// ways first), so the LRU victim is always the last way.
 class Cache {
  public:
+  /// Throws std::invalid_argument unless `p` passes CacheParams::validate()
+  /// (power-of-two line size and set count).
   explicit Cache(const CacheParams& p);
 
   /// Probe for `line_addr` (byte address of the line start). On hit, updates
@@ -27,11 +33,15 @@ class Cache {
     std::uint64_t line_addr = 0;
   };
 
-  /// Install `line_addr`, evicting the LRU way. Returns the victim.
+  /// Install `line_addr`, which must not be resident, evicting the LRU way.
+  /// Returns the victim.
   Victim fill(std::uint64_t line_addr, bool dirty);
 
-  /// Drop every line within [start, start+len). Used when the SVM layer
-  /// invalidates or replaces a page: stale cached lines must not hit.
+  /// Drop every resident line whose first byte lies in [start, start+len).
+  /// Used when the SVM layer invalidates or replaces a page: stale cached
+  /// lines must not hit. A line that starts before `start` stays resident
+  /// even when the range covers the rest of it, so a range that begins
+  /// mid-line leaves that line cached.
   void invalidate_range(std::uint64_t start, std::uint64_t len);
 
   [[nodiscard]] std::uint32_t line_bytes() const noexcept {
@@ -45,24 +55,29 @@ class Cache {
   [[nodiscard]] std::uint32_t sets() const noexcept { return sets_; }
 
  private:
-  struct Line {
-    std::uint64_t addr = 0;
-    std::uint64_t lru = 0;
-    bool valid = false;
-    bool dirty = false;
-  };
+  using Slot = std::uint64_t;
 
-  [[nodiscard]] std::uint32_t set_of(std::uint64_t line_addr) const {
-    return static_cast<std::uint32_t>((line_addr / params_.line_bytes) %
-                                      sets_);
+  [[nodiscard]] static Slot tag_of(std::uint64_t line) noexcept {
+    return (line + 1) << 1;
   }
-  Line* find(std::uint64_t line_addr);
-  [[nodiscard]] const Line* find(std::uint64_t line_addr) const;
+  [[nodiscard]] Slot* set_of(std::uint64_t line) noexcept {
+    return &slots_[(line & set_mask_) * ways_];
+  }
+  [[nodiscard]] const Slot* set_of(std::uint64_t line) const noexcept {
+    return &slots_[(line & set_mask_) * ways_];
+  }
+  /// Way holding `line` in its set, or ways_ when it is not resident.
+  [[nodiscard]] std::uint32_t find(const Slot* set,
+                                   std::uint64_t line) const noexcept;
+  /// Remove way `w`, closing the gap so the valid ways stay a prefix.
+  void drop(Slot* set, std::uint32_t w) noexcept;
 
   CacheParams params_;
-  std::uint32_t sets_;
-  std::vector<Line> lines_;  // sets_ x associativity, row-major by set
-  std::uint64_t tick_ = 0;   // LRU clock
+  std::uint32_t ways_ = 0;
+  std::uint32_t sets_ = 0;
+  std::uint32_t line_shift_ = 0;
+  std::uint64_t set_mask_ = 0;
+  std::vector<Slot> slots_;  // sets_ x ways_, row-major by set
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -408,70 +408,91 @@ void SvmAgent::mark_dirty(PageId page, PageCopy& c) {
   interval_pages_.push_back(page);
 }
 
-Task<void> SvmAgent::read(Processor& p, GlobalAddr addr, void* dst,
-                          std::uint64_t bytes) {
-  auto* out = static_cast<std::byte*>(dst);
+bool SvmAgent::advance(Processor& p, ReadAccess& a) {
   const std::uint32_t pb = space_->page_bytes();
   const std::uint32_t lb = p.mem().line_bytes();
-  while (bytes > 0) {
-    const PageId page = space_->page_of(addr);
-    const std::uint32_t off = space_->offset_of(addr);
-    const std::uint64_t chunk = std::min<std::uint64_t>(bytes, pb - off);
-    PageCopy* c = co_await readable(p, page);
-    if (out != nullptr) {
-      std::memcpy(out, c->data.data() + off, chunk);
-      out += chunk;
+  for (;;) {
+    // Timing: one access per cache line of the copied chunk. A miss stops
+    // at the missed line; finish() reads it over the bus and resumes after
+    // it, so no line is probed twice.
+    for (; a.line < a.end_line; ++a.line) {
+      const auto hit = p.mem().read_line_fast(a.line * lb, p.local_now());
+      p.charge(TimeCat::kCompute, 1);
+      if (!hit) return false;
+      if (*hit > 1) p.charge(TimeCat::kMemStall, *hit - 1);
     }
-    SVMSIM_CHECK_HOOK(*sim_, on_read, sim_->now(), self_, vc_, addr,
-                      c->data.data() + off, chunk);
-    // Timing: one access per cache line touched.
-    const std::uint64_t first_line = addr / lb;
-    const std::uint64_t last_line = (addr + chunk - 1) / lb;
-    for (std::uint64_t ln = first_line; ln <= last_line; ++ln) {
-      const std::uint64_t line_addr = ln * lb;
-      if (auto hit = p.mem().read_line_fast(line_addr, p.local_now())) {
-        p.charge(TimeCat::kCompute, 1);
-        if (*hit > 1) p.charge(TimeCat::kMemStall, *hit - 1);
-      } else {
-        p.charge(TimeCat::kCompute, 1);
-        co_await p.drain();
-        const Cycles stall = co_await p.mem().read_line_slow(line_addr);
-        p.note(TimeCat::kMemStall, stall);
-      }
+    if (a.bytes == 0) return true;
+    const PageId page = space_->page_of(a.addr);
+    (void)home_of(page);  // first touch assigns the home, as ensure_valid does
+    const PageCopy& c = space_->copy(self_, page);
+    if (c.state != PageState::kReadOnly && c.state != PageState::kReadWrite) {
+      return false;  // page fault
     }
-    addr += chunk;
-    bytes -= chunk;
+    const std::uint32_t off = space_->offset_of(a.addr);
+    const std::uint64_t chunk = std::min<std::uint64_t>(a.bytes, pb - off);
+    if (a.dst != nullptr) {
+      std::memcpy(a.dst, c.data.data() + off, chunk);
+      a.dst += chunk;
+    }
+    SVMSIM_CHECK_HOOK(*sim_, on_read, sim_->now(), self_, vc_, a.addr,
+                      c.data.data() + off, chunk);
+    a.line = a.addr / lb;
+    a.end_line = (a.addr + chunk - 1) / lb + 1;
+    a.addr += chunk;
+    a.bytes -= chunk;
   }
 }
 
-Task<void> SvmAgent::write(Processor& p, GlobalAddr addr, const void* src,
-                           std::uint64_t bytes) {
-  const auto* in = static_cast<const std::byte*>(src);
+Task<void> SvmAgent::finish(Processor& p, ReadAccess a) {
+  // Resolve what stopped advance() — a missed line or an unmapped page; a
+  // fresh access maps its first page — then go back to the hit path.
+  do {
+    if (a.line < a.end_line) {
+      co_await p.drain();
+      const Cycles stall =
+          co_await p.mem().read_line_slow(a.line * p.mem().line_bytes());
+      p.note(TimeCat::kMemStall, stall);
+      ++a.line;
+    } else if (a.bytes > 0) {
+      co_await readable(p, space_->page_of(a.addr));
+    }
+  } while (!advance(p, a));
+}
+
+bool SvmAgent::advance(Processor& p, WriteAccess& a) {
   const std::uint32_t pb = space_->page_bytes();
   const std::uint32_t lb = p.mem().line_bytes();
-  while (bytes > 0) {
-    const PageId page = space_->page_of(addr);
-    const std::uint32_t off = space_->offset_of(addr);
+  while (a.bytes > 0) {
+    const PageId page = space_->page_of(a.addr);
+    PageCopy& c = space_->copy(self_, page);
+    if (c.state != PageState::kReadWrite) return false;  // write fault
+    const std::uint32_t off = space_->offset_of(a.addr);
     const std::uint32_t chunk =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(bytes, pb - off));
-    PageCopy* c = co_await writable(p, page);
-    if (in != nullptr) {
-      std::memcpy(c->data.data() + off, in, chunk);
-      SVMSIM_CHECK_HOOK(*sim_, on_write, sim_->now(), self_, vc_, addr, in,
-                        chunk);
-      in += chunk;
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(a.bytes, pb - off));
+    if (a.src != nullptr) {
+      std::memcpy(c.data.data() + off, a.src, chunk);
+      SVMSIM_CHECK_HOOK(*sim_, on_write, sim_->now(), self_, vc_, a.addr,
+                        a.src, chunk);
+      a.src += chunk;
     }
-    on_store(p, page, *c, off, chunk);
-    const std::uint64_t first_line = addr / lb;
-    const std::uint64_t last_line = (addr + chunk - 1) / lb;
+    on_store(p, page, c, off, chunk);
+    const std::uint64_t first_line = a.addr / lb;
+    const std::uint64_t last_line = (a.addr + chunk - 1) / lb;
     for (std::uint64_t ln = first_line; ln <= last_line; ++ln) {
       const auto cost = p.mem().write_line(ln * lb, p.local_now());
       p.charge(TimeCat::kCompute, cost.issue);
       if (cost.wb_stall > 0) p.charge(TimeCat::kWriteBufStall, cost.wb_stall);
     }
-    addr += chunk;
-    bytes -= chunk;
+    a.addr += chunk;
+    a.bytes -= chunk;
   }
+  return true;
+}
+
+Task<void> SvmAgent::finish(Processor& p, WriteAccess a) {
+  do {
+    if (a.bytes > 0) co_await writable(p, space_->page_of(a.addr));
+  } while (!advance(p, a));
 }
 
 // ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@
 // ProtocolPools; and every per-release scratch container is a reused member.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -87,10 +88,49 @@ class SvmAgent {
   virtual void install();
 
   // ---- application-facing operations (called through apps::Shm) ----
+
+  /// A read of `bytes` at `addr` into `dst` (nullptr: timing only), in
+  /// progress. `addr`/`bytes`/`dst` cover what is not yet copied;
+  /// [line, end_line) are the cache lines of the copied chunk not yet timed.
+  struct ReadAccess {
+    GlobalAddr addr;
+    std::uint64_t bytes;
+    std::byte* dst;
+    std::uint64_t line = 0;
+    std::uint64_t end_line = 0;
+  };
+  /// A write of `bytes` from `src` (nullptr: timing only) at `addr`, in
+  /// progress; the fields cover what is not yet stored.
+  struct WriteAccess {
+    GlobalAddr addr;
+    std::uint64_t bytes;
+    const std::byte* src;
+  };
+
+  /// The hit path: perform `a` as far as it goes without simulated time
+  /// passing — mapped pages, cache hits, stores into read-write pages —
+  /// charging the processor's local clock. Returns true when the access is
+  /// complete; false when it stopped at a page fault, a write to a page that
+  /// is not read-write, or a read miss, which finish() resolves.
+  bool advance(Processor& p, ReadAccess& a);
+  bool advance(Processor& p, WriteAccess& a);
+  /// The slow path: complete `a`, fresh or where advance() stopped, taking
+  /// the faults and bus reads advance() cannot and running advance() for
+  /// the rest. A fresh access first maps its first page, which costs only a
+  /// frame when the page is already mapped.
+  engine::Task<void> finish(Processor& p, ReadAccess a);
+  engine::Task<void> finish(Processor& p, WriteAccess a);
+
+  /// Block accesses (Shm::read_block/write_block) start on the slow path.
   engine::Task<void> read(Processor& p, GlobalAddr addr, void* dst,
-                          std::uint64_t bytes);
+                          std::uint64_t bytes) {
+    return finish(p, ReadAccess{addr, bytes, static_cast<std::byte*>(dst)});
+  }
   engine::Task<void> write(Processor& p, GlobalAddr addr, const void* src,
-                           std::uint64_t bytes);
+                           std::uint64_t bytes) {
+    return finish(p,
+                  WriteAccess{addr, bytes, static_cast<const std::byte*>(src)});
+  }
   engine::Task<void> acquire_lock(Processor& p, int lock);
   engine::Task<void> release_lock(Processor& p, int lock);
   engine::Task<void> barrier(Processor& p);

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
 namespace svmsim::memsys {
 namespace {
@@ -17,6 +21,11 @@ TEST(Cache, MissThenHit) {
   EXPECT_TRUE(c.lookup(0));
   EXPECT_EQ(c.hits(), 1u);
   EXPECT_EQ(c.misses(), 1u);
+}
+
+TEST(Cache, RejectsGeometryItCannotIndex) {
+  // CacheParams::validate's cases are in test_parameters.
+  EXPECT_THROW(Cache(CacheParams{1024, 1, 48, 1}), std::invalid_argument);
 }
 
 TEST(Cache, DirectMappedConflict) {
@@ -123,6 +132,145 @@ TEST_P(CacheConfigTest, AssociativityWaysFitInOneSet) {
   auto victim = c.fill(static_cast<std::uint64_t>(assoc) * set_stride, false);
   EXPECT_TRUE(victim.evicted);
 }
+
+TEST(Cache, InvalidateRangeKeepsLineStartingBeforeRange) {
+  Cache c(small_2w);
+  c.fill(0, false);
+  c.fill(64, false);
+  // [40, 48) lies inside line 0 but does not contain its first byte.
+  c.invalidate_range(40, 8);
+  EXPECT_TRUE(c.contains(0));
+  c.invalidate_range(40, 64);  // covers the first byte of line 64 only
+  EXPECT_TRUE(c.contains(0));
+  EXPECT_FALSE(c.contains(64));
+}
+
+/// Reference model: the tag store Cache replaced, one {addr, lru, valid,
+/// dirty} record per way and a global LRU tick, probed with divides.
+class TickLruCache {
+ public:
+  explicit TickLruCache(const CacheParams& p)
+      : p_(p),
+        sets_(p.size_bytes / (p.line_bytes * p.associativity)),
+        lines_(static_cast<std::size_t>(sets_) * p.associativity) {}
+
+  bool lookup(std::uint64_t addr, bool mark_dirty) {
+    if (Line* l = find(addr)) {
+      l->lru = ++tick_;
+      if (mark_dirty) l->dirty = true;
+      ++hits;
+      return true;
+    }
+    ++misses;
+    return false;
+  }
+  bool contains(std::uint64_t addr) { return find(addr) != nullptr; }
+  Cache::Victim fill(std::uint64_t addr, bool dirty) {
+    Line* base = set(addr);
+    Line* victim = &base[0];
+    for (std::uint32_t w = 0; w < p_.associativity; ++w) {
+      if (!base[w].valid) {
+        victim = &base[w];
+        break;
+      }
+      if (base[w].lru < victim->lru) victim = &base[w];
+    }
+    Cache::Victim out;
+    if (victim->valid) out = {true, victim->dirty, victim->addr};
+    *victim = Line{addr, ++tick_, true, dirty};
+    return out;
+  }
+  void invalidate_range(std::uint64_t start, std::uint64_t len) {
+    for (Line& l : lines_) {
+      if (l.valid && l.addr >= start && l.addr < start + len) l = Line{};
+    }
+  }
+
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+
+ private:
+  struct Line {
+    std::uint64_t addr = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+  Line* set(std::uint64_t addr) {
+    return &lines_[(addr / p_.line_bytes) % sets_ * p_.associativity];
+  }
+  Line* find(std::uint64_t addr) {
+    Line* base = set(addr);
+    for (std::uint32_t w = 0; w < p_.associativity; ++w) {
+      if (base[w].valid && base[w].addr == addr) return &base[w];
+    }
+    return nullptr;
+  }
+
+  CacheParams p_;
+  std::uint32_t sets_;
+  std::vector<Line> lines_;
+  std::uint64_t tick_ = 0;
+};
+
+class CacheDifferential : public ::testing::TestWithParam<std::uint32_t> {};
+
+/// Seeded random lookup/fill/contains/invalidate_range streams: the
+/// recency-ordered tag store must agree with the tick-LRU model on every
+/// hit, miss and victim. fill() is only called for non-resident lines, its
+/// contract (ProcMemory fills only after a miss).
+TEST_P(CacheDifferential, MatchesTickLruModel) {
+  const std::uint32_t ways = GetParam();
+  const CacheParams p{2048, ways, 64, 1};  // 32 lines
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Cache c(p);
+    TickLruCache model(p);
+    std::mt19937_64 rng(seed * 1000 + ways);
+    // 4x more lines than the cache holds: plenty of conflicts.
+    auto line_addr = [&] { return rng() % 128 * 64; };
+    for (int op = 0; op < 20000; ++op) {
+      const std::uint64_t a = line_addr();
+      switch (rng() % 8) {
+        case 0:
+        case 1:
+        case 2: {
+          const bool dirty = rng() % 4 == 0;
+          ASSERT_EQ(c.lookup(a, dirty), model.lookup(a, dirty)) << op;
+          break;
+        }
+        case 3:
+        case 4:
+        case 5: {
+          if (model.contains(a)) break;
+          const bool dirty = rng() % 2 == 0;
+          const Cache::Victim got = c.fill(a, dirty);
+          const Cache::Victim want = model.fill(a, dirty);
+          ASSERT_EQ(got.evicted, want.evicted) << op;
+          ASSERT_EQ(got.dirty, want.dirty) << op;
+          ASSERT_EQ(got.line_addr, want.line_addr) << op;
+          break;
+        }
+        case 6:
+          ASSERT_EQ(c.contains(a), model.contains(a)) << op;
+          break;
+        default: {
+          // Unaligned starts; lengths up to past the whole tag store, so
+          // both the per-line probe and the full scan run.
+          const std::uint64_t start = a + rng() % 64;
+          const std::uint64_t len = rng() % 8 == 0 ? rng() % 8192 : rng() % 256;
+          c.invalidate_range(start, len);
+          model.invalidate_range(start, len);
+          break;
+        }
+      }
+    }
+    EXPECT_EQ(c.hits(), model.hits);
+    EXPECT_EQ(c.misses(), model.misses);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferential,
+                         ::testing::Values(1u, 2u, 4u, 8u));
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, CacheConfigTest,

@@ -1,9 +1,10 @@
-// Golden-stats regression: two tiny deterministic runs (fft under HLRC and
-// AURC at the paper's achievable point) serialized counter-for-counter and
-// compared *exactly* against a checked-in JSON file. Any change to simulated
-// time, event counts, the per-processor time breakdown or any protocol
-// counter — intended or not — fails this test and forces the golden file to
-// be regenerated consciously:
+// Golden-stats regression: one tiny deterministic run of every suite app
+// under HLRC and under AURC at the paper's achievable point, serialized
+// counter-for-counter and compared *exactly* against a checked-in JSON file.
+// Each app's access pattern exercises the hit path differently, so every app
+// is pinned, not just one. Any change to simulated time, event counts, the
+// per-processor time breakdown or any protocol counter — intended or not —
+// fails this test and forces the golden file to be regenerated consciously:
 //
 //   SVMSIM_GOLDEN_REGEN=1 ./tests/test_golden_stats
 //
@@ -67,21 +68,24 @@ void emit_run(std::ostream& os, const char* key, const RunResult& r) {
   os << "  }";
 }
 
-/// The two reference runs, serialized deterministically. Keep this format
+/// The reference runs, serialized deterministically. Keep this format
 /// stable: the test compares the whole string byte-for-byte.
 std::string golden_string() {
   std::ostringstream os;
   os << "{\n";
   bool first = true;
-  for (Protocol proto : {Protocol::kHLRC, Protocol::kAURC}) {
-    SimConfig cfg = config_with(16, 4, proto);
-    auto app = apps::make_app("fft", apps::Scale::kTiny);
-    const RunResult r = run(*app, cfg);
-    EXPECT_TRUE(r.validated);
-    if (!first) os << ",\n";
-    first = false;
-    emit_run(os, proto == Protocol::kHLRC ? "fft_tiny_hlrc" : "fft_tiny_aurc",
-             r);
+  for (const std::string& name : apps::suite()) {
+    for (Protocol proto : {Protocol::kHLRC, Protocol::kAURC}) {
+      SimConfig cfg = config_with(16, 4, proto);
+      auto app = apps::make_app(name, apps::Scale::kTiny);
+      const RunResult r = run(*app, cfg);
+      EXPECT_TRUE(r.validated) << name;
+      if (!first) os << ",\n";
+      first = false;
+      const std::string key =
+          name + (proto == Protocol::kHLRC ? "_tiny_hlrc" : "_tiny_aurc");
+      emit_run(os, key.c_str(), r);
+    }
   }
   os << "\n}\n";
   return os.str();

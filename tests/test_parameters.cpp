@@ -2,6 +2,9 @@
 // parameters must move end performance in the documented direction.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "apps/registry.hpp"
 #include "common.hpp"
 #include "harness/sweep.hpp"
@@ -105,6 +108,33 @@ TEST(Sweep, IdealSpeedupIgnoresCommunication) {
   SimConfig cfg = achievable_config();
   auto point = sweep.run_point("ocean", cfg, 0);
   EXPECT_GT(point.ideal_speedup(), point.speedup());
+}
+
+// The tag store indexes sets with a shift and a mask; any geometry it cannot
+// index that way is rejected up front, in release builds too.
+TEST(CacheGeometry, MachineRejectsNonPowerOfTwoLine) {
+  SimConfig cfg = achievable_config();
+  cfg.arch.l2.line_bytes = 48;
+  try {
+    Machine m(cfg);
+    FAIL() << "Machine accepted a 48-byte L2 line";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("l2.line_bytes"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(CacheGeometry, ValidateNamesTheOffendingField) {
+  EXPECT_EQ(ArchParams{}.validate(), "");
+  EXPECT_EQ((CacheParams{16 * 1024, 1, 64, 1}.validate()), "");
+  EXPECT_NE((CacheParams{0, 1, 64, 1}.validate()), "");
+  EXPECT_NE((CacheParams{16 * 1024, 0, 64, 1}.validate()), "");
+  EXPECT_NE((CacheParams{16 * 1024, 1, 0, 1}.validate()), "");
+  // 48 KB / 64 B = 768 sets: not a power of two.
+  EXPECT_NE((CacheParams{48 * 1024, 1, 64, 1}.validate()), "");
+  ArchParams arch;
+  arch.l1.associativity = 0;
+  EXPECT_EQ(arch.validate().rfind("l1.", 0), 0u) << arch.validate();
 }
 
 }  // namespace

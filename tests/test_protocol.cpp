@@ -341,5 +341,126 @@ TEST(Protocol, DisableRemoteFetchesSkipsMessages) {
   EXPECT_LE(r.stats.counters().messages_sent, 16u);
 }
 
+// ---- The synchronous hit path (Shm::read/write, SvmAgent::advance) ----
+
+/// Time charged to each category between two snapshots of a Breakdown.
+Breakdown charged_since(const Breakdown& before, const Breakdown& after) {
+  Breakdown d;
+  for (std::size_t i = 0; i < d.t.size(); ++i) {
+    d.t[i] = after.t[i] - before.t[i];
+  }
+  return d;
+}
+
+TEST(HitPath, CachedReadFiresNoEventAndChargesTheHit) {
+  SimConfig cfg = config_with(1, 1);
+  SharedArray<double> arr;
+  bool ran = false;
+  LambdaWorkload w(
+      "cached-read",
+      [&](Machine& m) {
+        arr = SharedArray<double>::alloc(m, 8, Distribution::fixed(0));
+        arr.debug_put(m, 3, 2.5);
+      },
+      [&](Machine& m, ProcId pid) -> engine::Task<void> {
+        Shm shm(m, pid);
+        Processor& p = shm.proc();
+        EXPECT_EQ(co_await arr.get(shm, 3), 2.5);  // maps the page, fills
+        const std::uint64_t events = m.sim().queue().events_fired();
+        const Cycles now = m.sim().now();
+        const Cycles local = p.local_now();
+        const Breakdown before = p.breakdown();
+        EXPECT_EQ(co_await arr.get(shm, 3), 2.5);
+        EXPECT_EQ(m.sim().queue().events_fired(), events);
+        EXPECT_EQ(m.sim().now(), now);
+        // An L1 hit: one compute cycle on the local clock, no stall.
+        Breakdown want;
+        want.add(TimeCat::kCompute, cfg.arch.l1.hit_cycles);
+        EXPECT_EQ(charged_since(before, p.breakdown()), want);
+        EXPECT_EQ(p.local_now(), local + cfg.arch.l1.hit_cycles);
+        ran = true;
+      });
+  run(w, cfg);
+  EXPECT_TRUE(ran);
+}
+
+TEST(HitPath, MissResumesAtTheMissedLine) {
+  struct Pair {
+    double lo;
+    double hi;
+  };
+  SimConfig cfg = config_with(1, 1);
+  const std::uint32_t lb = cfg.arch.l1.line_bytes;
+  SharedArray<double> arr;
+  bool ran = false;
+  LambdaWorkload w(
+      "straddling-read",
+      [&](Machine& m) {
+        arr = SharedArray<double>::alloc(m, 2 * lb / sizeof(double),
+                                         Distribution::fixed(0));
+        arr.debug_put(m, lb / sizeof(double) - 1, 1.0);  // last of line 0
+        arr.debug_put(m, lb / sizeof(double), 2.0);      // first of line 1
+      },
+      [&](Machine& m, ProcId pid) -> engine::Task<void> {
+        Shm shm(m, pid);
+        Processor& p = shm.proc();
+        co_await arr.get(shm, 0);  // line 0 now cached
+        const memsys::Cache& l1 = p.mem().l1();
+        const std::uint64_t hits = l1.hits();
+        const std::uint64_t misses = l1.misses();
+        const Cycles now = m.sim().now();
+        const Breakdown before = p.breakdown();
+        // 8 bytes in line 0 (hit) and 8 in line 1 (miss).
+        const Pair v =
+            co_await shm.read<Pair>(arr.addr(lb / sizeof(double) - 1));
+        EXPECT_EQ(v.lo, 1.0);
+        EXPECT_EQ(v.hi, 2.0);
+        EXPECT_EQ(l1.hits() - hits, 1u);
+        EXPECT_EQ(l1.misses() - misses, 1u);
+        EXPECT_GT(m.sim().now(), now);  // stalled on the bus for line 1
+        const Breakdown d = charged_since(before, p.breakdown());
+        EXPECT_EQ(d.get(TimeCat::kCompute), 2u);  // one probe per line
+        EXPECT_GT(d.get(TimeCat::kMemStall), 0u);
+        ran = true;
+      });
+  run(w, cfg);
+  EXPECT_TRUE(ran);
+}
+
+TEST(HitPath, WriteToReadOnlyPageTakesTheWriteFault) {
+  SimConfig cfg = config_with(2, 1);
+  SharedArray<double> arr;
+  LambdaWorkload w(
+      "write-protect-fault",
+      [&](Machine& m) {
+        arr = SharedArray<double>::alloc(m, 8, Distribution::fixed(0));
+      },
+      [&](Machine& m, ProcId pid) -> engine::Task<void> {
+        Shm shm(m, pid);
+        if (pid == 1) {
+          co_await arr.get(shm, 0);  // fetch: the page is now read-only
+          const Counters& k = m.stats().counters();
+          const std::uint64_t twins = k.twins_created;
+          const std::uint64_t faults = k.write_faults;
+          co_await arr.put(shm, 0, 7.0);
+          EXPECT_EQ(k.twins_created, twins + 1);
+          EXPECT_EQ(k.write_faults, faults + 1);
+          // The page is read-write now: the next store is a hit.
+          const std::uint64_t events = m.sim().queue().events_fired();
+          co_await arr.put(shm, 1, 8.0);
+          EXPECT_EQ(k.twins_created, twins + 1);
+          EXPECT_EQ(k.write_faults, faults + 1);
+          EXPECT_EQ(m.sim().queue().events_fired(), events);
+        }
+        co_await shm.barrier();
+      },
+      [&](Machine& m) {
+        return arr.debug_get(m, 0) == 7.0 && arr.debug_get(m, 1) == 8.0;
+      });
+  auto r = run(w, cfg);
+  EXPECT_TRUE(r.validated);
+  EXPECT_EQ(r.stats.counters().twins_created, 1u);
+}
+
 }  // namespace
 }  // namespace svmsim::test
