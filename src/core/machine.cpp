@@ -1,32 +1,46 @@
 #include "core/machine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
 #include "check/checker.hpp"
 #include "engine/task.hpp"
+#include "memsys/cache.hpp"
 #include "trace/trace.hpp"
 
 namespace svmsim {
 
-Machine::Machine(const SimConfig& cfg)
-    : cfg_(cfg),
-      parts_(engine::effective_partitions(cfg.par_cores,
-                                          cfg.comm.node_count())),
-      sims_(static_cast<std::size_t>(parts_)),
-      registries_(static_cast<std::size_t>(parts_)),
-      stats_(cfg.comm.total_procs),
-      part_counters_(static_cast<std::size_t>(parts_)),
-      space_(cfg.comm.node_count(), cfg.comm.page_bytes),
-      shared_(sims_.front(), cfg.comm.node_count(), kMaxLocks),
-      network_(sims_.front(), cfg_.arch) {
-  if (const std::string err = cfg_.arch.validate(); !err.empty()) {
+namespace {
+
+/// Returns `cfg` after checking its architecture and node shape, so a bad
+/// config throws before any member is built from it.
+const SimConfig& checked(const SimConfig& cfg) {
+  if (const std::string err = cfg.arch.validate(); !err.empty()) {
     throw std::invalid_argument("arch: " + err);
   }
   if (cfg.comm.total_procs % cfg.comm.procs_per_node != 0) {
     throw std::invalid_argument(
         "total_procs must be a multiple of procs_per_node");
   }
+  return cfg;
+}
+
+}  // namespace
+
+Machine::Machine(const SimConfig& cfg)
+    : cfg_(checked(cfg)),
+      parts_(engine::effective_partitions(cfg.par_cores,
+                                          cfg.comm.node_count())),
+      sims_(static_cast<std::size_t>(parts_)),
+      registries_(static_cast<std::size_t>(parts_)),
+      stats_(cfg.comm.total_procs),
+      part_counters_(static_cast<std::size_t>(parts_)),
+      space_(cfg.comm.node_count(), cfg.comm.page_bytes,
+             std::min(memsys::Cache::tag_reach(cfg.arch.l1),
+                      memsys::Cache::tag_reach(cfg.arch.l2))),
+      shared_(sims_.front(), cfg.comm.node_count(), kMaxLocks),
+      network_(sims_.front(), cfg_.arch) {
   if (parts_ > 1 && cfg_.trace.enabled) {
     // A trace is one global event stream in emission order; partitions
     // emitting concurrently would interleave nondeterministically.

@@ -10,15 +10,24 @@
 
 namespace svmsim::memsys {
 
-/// Tag layout: each way is one 8-byte slot, 0 when invalid and otherwise
-/// `(line + 1) << 1 | dirty` with `line = line_addr >> log2(line_bytes)`.
-/// The ways of a set are kept in recency order (way 0 most recent, valid
-/// ways first), so the LRU victim is always the last way.
+/// Tag layout: each way is one 4-byte slot, 0 when invalid and otherwise
+/// `((line >> log2(sets)) + 1) << 1 | dirty` with
+/// `line = line_addr >> log2(line_bytes)`; the set index is the slot's
+/// position, so it is not stored. The ways of a set are kept in recency order
+/// (way 0 most recent, valid ways first), so the LRU victim is always the
+/// last way. A bitmap of resident lines (bit `line % 64` of word
+/// `line / 64`) lets invalidate_range visit only the lines that are cached.
 class Cache {
  public:
   /// Throws std::invalid_argument unless `p` passes CacheParams::validate()
   /// (power-of-two line size and set count).
   explicit Cache(const CacheParams& p);
+
+  /// Bytes of address space the 31-bit set-relative tags of a cache with
+  /// geometry `p` (which must pass validate()) can name: every line address
+  /// below it has a distinct tag, and addresses at or past it must never
+  /// reach the cache.
+  [[nodiscard]] static std::uint64_t tag_reach(const CacheParams& p);
 
   /// Probe for `line_addr` (byte address of the line start). On hit, updates
   /// LRU and optionally marks the line dirty.
@@ -37,11 +46,12 @@ class Cache {
   /// Returns the victim.
   Victim fill(std::uint64_t line_addr, bool dirty);
 
-  /// Drop every resident line whose first byte lies in [start, start+len).
-  /// Used when the SVM layer invalidates or replaces a page: stale cached
-  /// lines must not hit. A line that starts before `start` stays resident
-  /// even when the range covers the rest of it, so a range that begins
-  /// mid-line leaves that line cached.
+  /// Drop every resident line whose first byte lies in [start, start+len)
+  /// (the sum saturates, so a range may run to the end of the address
+  /// space). Used when the SVM layer invalidates or replaces a page: stale
+  /// cached lines must not hit. A line that starts before `start` stays
+  /// resident even when the range covers the rest of it, so a range that
+  /// begins mid-line leaves that line cached.
   void invalidate_range(std::uint64_t start, std::uint64_t len);
 
   [[nodiscard]] std::uint32_t line_bytes() const noexcept {
@@ -55,11 +65,9 @@ class Cache {
   [[nodiscard]] std::uint32_t sets() const noexcept { return sets_; }
 
  private:
-  using Slot = std::uint64_t;
+  using Slot = std::uint32_t;
 
-  [[nodiscard]] static Slot tag_of(std::uint64_t line) noexcept {
-    return (line + 1) << 1;
-  }
+  [[nodiscard]] Slot tag_of(std::uint64_t line) const noexcept;
   [[nodiscard]] Slot* set_of(std::uint64_t line) noexcept {
     return &slots_[(line & set_mask_) * ways_];
   }
@@ -69,15 +77,19 @@ class Cache {
   /// Way holding `line` in its set, or ways_ when it is not resident.
   [[nodiscard]] std::uint32_t find(const Slot* set,
                                    std::uint64_t line) const noexcept;
-  /// Remove way `w`, closing the gap so the valid ways stay a prefix.
-  void drop(Slot* set, std::uint32_t w) noexcept;
+  /// Remove resident `line`, closing the gap so the valid ways stay a prefix.
+  void drop(std::uint64_t line) noexcept;
 
   CacheParams params_;
   std::uint32_t ways_ = 0;
   std::uint32_t sets_ = 0;
   std::uint32_t line_shift_ = 0;
+  std::uint32_t set_shift_ = 0;
   std::uint64_t set_mask_ = 0;
   std::vector<Slot> slots_;  // sets_ x ways_, row-major by set
+  /// Bit `line & 63` of word `line >> 6` is set exactly while `line` is
+  /// resident. fill() grows it to the highest line ever filled.
+  std::vector<std::uint64_t> resident_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
 };

@@ -2,18 +2,28 @@
 
 #include <cassert>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace svmsim::svm {
 
-AddressSpace::AddressSpace(int nodes, std::uint32_t page_bytes)
-    : nodes_(nodes), page_bytes_(page_bytes) {
+AddressSpace::AddressSpace(int nodes, std::uint32_t page_bytes,
+                           std::uint64_t max_bytes)
+    : nodes_(nodes), page_bytes_(page_bytes), max_bytes_(max_bytes) {
   assert(nodes > 0);
   assert(page_bytes >= 256 && (page_bytes & (page_bytes - 1)) == 0);
   copies_.resize(static_cast<std::size_t>(nodes));
 }
 
 GlobalAddr AddressSpace::alloc(std::uint64_t bytes, Distribution d) {
-  const std::uint64_t pages = (bytes + page_bytes_ - 1) / page_bytes_;
+  const std::uint64_t pages =
+      bytes / page_bytes_ + (bytes % page_bytes_ != 0 ? 1 : 0);
+  if (pages > (max_bytes_ - next_) / page_bytes_) {
+    throw std::length_error("shared address space: allocating " +
+                            std::to_string(bytes) + " bytes at " +
+                            std::to_string(next_) + " passes the " +
+                            std::to_string(max_bytes_) + "-byte cap");
+  }
   const GlobalAddr base = next_;
   const PageId first = base / page_bytes_;
   next_ += pages * page_bytes_;

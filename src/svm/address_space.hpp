@@ -60,15 +60,21 @@ struct Distribution {
 
 class AddressSpace {
  public:
-  AddressSpace(int nodes, std::uint32_t page_bytes);
+  /// Allocations may not end past `max_bytes`; a Machine passes the tag
+  /// reach of its caches (memsys::Cache::tag_reach), since an address past
+  /// it would alias a resident line.
+  AddressSpace(int nodes, std::uint32_t page_bytes,
+               std::uint64_t max_bytes = ~std::uint64_t{0});
 
-  /// Allocate `bytes` of shared memory (rounded up to whole pages).
+  /// Allocate `bytes` of shared memory (rounded up to whole pages). Throws
+  /// std::length_error when the allocation would end past max_bytes().
   GlobalAddr alloc(std::uint64_t bytes, Distribution d);
 
   [[nodiscard]] std::uint32_t page_bytes() const noexcept {
     return page_bytes_;
   }
   [[nodiscard]] int nodes() const noexcept { return nodes_; }
+  [[nodiscard]] std::uint64_t max_bytes() const noexcept { return max_bytes_; }
   [[nodiscard]] PageId page_of(GlobalAddr a) const { return a / page_bytes_; }
   [[nodiscard]] std::uint32_t offset_of(GlobalAddr a) const {
     return static_cast<std::uint32_t>(a % page_bytes_);
@@ -122,6 +128,7 @@ class AddressSpace {
 
   int nodes_;
   std::uint32_t page_bytes_;
+  std::uint64_t max_bytes_;
   bool parallel_ = false;  ///< PDES mode: first-touch homing disallowed
   GlobalAddr next_ = 0;
   std::vector<NodeId> homes_;  // per page; -1 = first-touch pending

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <stdexcept>
+
+#include "core/machine.hpp"
+#include "memsys/cache.hpp"
 
 namespace svmsim::svm {
 namespace {
@@ -100,6 +106,32 @@ TEST(AddressSpace, PageAndOffsetMath) {
   EXPECT_EQ(as.page_of(4095), 0u);
   EXPECT_EQ(as.page_of(4096), 1u);
   EXPECT_EQ(as.offset_of(4097), 1u);
+}
+
+TEST(AddressSpace, AllocPastTheCapThrows) {
+  AddressSpace as(2, 1024, 4 * 1024);
+  EXPECT_EQ(as.alloc(3 * 1024, Distribution::block()), 0u);
+  // 1025 bytes round up to two pages: one past the cap.
+  EXPECT_THROW(as.alloc(1025, Distribution::block()), std::length_error);
+  // A failed alloc reserves nothing; an allocation may end at the cap.
+  EXPECT_EQ(as.alloc(1024, Distribution::block()), 3 * 1024u);
+  EXPECT_THROW(as.alloc(1, Distribution::block()), std::length_error);
+  // A size whose page round-up would wrap throws too.
+  EXPECT_THROW(as.alloc(~std::uint64_t{0}, Distribution::block()),
+               std::length_error);
+  EXPECT_EQ(as.page_count(), 4u);
+}
+
+TEST(AddressSpace, MachineCapsItsSpaceAtTheCacheTagReach) {
+  const SimConfig cfg;
+  Machine m(cfg);
+  const std::uint64_t l1 = memsys::Cache::tag_reach(cfg.arch.l1);
+  const std::uint64_t l2 = memsys::Cache::tag_reach(cfg.arch.l2);
+  EXPECT_EQ(m.space().max_bytes(), std::min(l1, l2));
+  // The default L1 (256 sets of 64-byte lines) names the fewest bytes:
+  // 2^31 - 1 tags per set, just under 32 TiB.
+  EXPECT_EQ(l1, ((std::uint64_t{1} << 31) - 1) << 14);
+  EXPECT_LT(l1, l2);
 }
 
 }  // namespace

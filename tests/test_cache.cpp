@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <random>
 #include <stdexcept>
 #include <tuple>
@@ -145,6 +146,23 @@ TEST(Cache, InvalidateRangeKeepsLineStartingBeforeRange) {
   EXPECT_FALSE(c.contains(64));
 }
 
+TEST(Cache, InvalidateRangeToTheEndOfTheAddressSpace) {
+  Cache c(small_2w);
+  const std::uint64_t high = (std::uint64_t{1} << 24) + 128;
+  const std::uint64_t lines[] = {0, 64, 576, high};  // sets 0, 1, 1, 2
+  for (const std::uint64_t a : lines) c.fill(a, true);
+  // start + len wraps: the range runs to the end of the address space.
+  c.invalidate_range(64, ~std::uint64_t{0});
+  EXPECT_TRUE(c.contains(0));
+  EXPECT_FALSE(c.contains(64));
+  EXPECT_FALSE(c.contains(576));
+  EXPECT_FALSE(c.contains(high));
+  c.invalidate_range(0, ~std::uint64_t{0});
+  for (const std::uint64_t a : lines) EXPECT_FALSE(c.contains(a)) << a;
+  const Cache::Victim v = c.fill(1024, false);  // 0's set, now empty
+  EXPECT_FALSE(v.evicted);
+}
+
 /// Reference model: the tag store Cache replaced, one {addr, lru, valid,
 /// dirty} record per way and a global LRU tick, probed with divides.
 class TickLruCache {
@@ -182,7 +200,7 @@ class TickLruCache {
   }
   void invalidate_range(std::uint64_t start, std::uint64_t len) {
     for (Line& l : lines_) {
-      if (l.valid && l.addr >= start && l.addr < start + len) l = Line{};
+      if (l.valid && l.addr >= start && l.addr - start < len) l = Line{};
     }
   }
 
@@ -213,21 +231,44 @@ class TickLruCache {
   std::uint64_t tick_ = 0;
 };
 
-class CacheDifferential : public ::testing::TestWithParam<std::uint32_t> {};
+/// One differential run: the associativity of a 32-line cache, and the
+/// lines its streams touch, [base, base + lines * 64).
+struct Universe {
+  std::uint32_t ways;
+  std::uint64_t base;
+  std::uint64_t lines;
+};
+
+void PrintTo(const Universe& u, std::ostream* os) {
+  *os << u.ways << "-way, " << u.lines << " lines at " << u.base;
+}
+
+class CacheDifferential : public ::testing::TestWithParam<Universe> {};
 
 /// Seeded random lookup/fill/contains/invalidate_range streams: the
 /// recency-ordered tag store must agree with the tick-LRU model on every
-/// hit, miss and victim. fill() is only called for non-resident lines, its
+/// hit, miss and victim, and on which lines of the universe are resident
+/// after each stream. fill() is only called for non-resident lines, its
 /// contract (ProcMemory fills only after a miss).
 TEST_P(CacheDifferential, MatchesTickLruModel) {
-  const std::uint32_t ways = GetParam();
+  const auto [ways, base, lines] = GetParam();
   const CacheParams p{2048, ways, 64, 1};  // 32 lines
+  constexpr std::uint64_t kPage = 4096;
+  const std::uint64_t span = lines * 64;
+  ASSERT_EQ(span % kPage, 0u);
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Cache c(p);
     TickLruCache model(p);
     std::mt19937_64 rng(seed * 1000 + ways);
-    // 4x more lines than the cache holds: plenty of conflicts.
-    auto line_addr = [&] { return rng() % 128 * 64; };
+    // 4x or more lines than the cache holds: plenty of conflicts.
+    auto line_addr = [&] { return base + rng() % lines * 64; };
+    auto resident = [&](auto& cache) {
+      std::vector<bool> out;
+      for (std::uint64_t l = 0; l < lines; ++l) {
+        out.push_back(cache.contains(base + l * 64));
+      }
+      return out;
+    };
     for (int op = 0; op < 20000; ++op) {
       const std::uint64_t a = line_addr();
       switch (rng() % 8) {
@@ -254,23 +295,67 @@ TEST_P(CacheDifferential, MatchesTickLruModel) {
           ASSERT_EQ(c.contains(a), model.contains(a)) << op;
           break;
         default: {
-          // Unaligned starts; lengths up to past the whole tag store, so
-          // both the per-line probe and the full scan run.
-          const std::uint64_t start = a + rng() % 64;
-          const std::uint64_t len = rng() % 8 == 0 ? rng() % 8192 : rng() % 256;
+          // Unaligned short ranges, SVM pages, multi-page ranges, ranges
+          // that run past the universe (the highest line ever filled) and
+          // rare whole-space ranges.
+          std::uint64_t start = a + rng() % 64;
+          std::uint64_t len = rng() % 256;
+          bool never_filled = false;
+          switch (rng() % 8) {
+            case 0:
+              start = base + rng() % (span / kPage) * kPage;
+              len = kPage;
+              break;
+            case 1:
+              len = 4 * kPage;
+              break;
+            case 2:
+              start = base + span + rng() % kPage;
+              len = rng() % (4 * kPage);
+              never_filled = true;
+              break;
+            case 3:
+              len = rng() % (span + 2 * kPage);
+              break;
+            case 4:
+              if (rng() % 64 == 0) len = ~std::uint64_t{0};
+              break;
+            default:
+              break;
+          }
+          const std::uint64_t hits = c.hits();
+          const std::uint64_t misses = c.misses();
+          const std::vector<bool> before =
+              never_filled ? resident(c) : std::vector<bool>{};
           c.invalidate_range(start, len);
           model.invalidate_range(start, len);
+          ASSERT_EQ(c.hits(), hits) << op;
+          ASSERT_EQ(c.misses(), misses) << op;
+          if (never_filled) {
+            ASSERT_EQ(resident(c), before) << op;
+          }
           break;
         }
       }
     }
+    EXPECT_EQ(resident(c), resident(model));
     EXPECT_EQ(c.hits(), model.hits);
     EXPECT_EQ(c.misses(), model.misses);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferential,
-                         ::testing::Values(1u, 2u, 4u, 8u));
+// 128 lines at address 0 span two words of the resident-line index; 512
+// lines at 4 GiB span eight, far from word 0, under set-relative tags well
+// above the set index. (The index is a bitmap from line 0, so a higher base
+// costs the test base / 512 bytes per cache.)
+INSTANTIATE_TEST_SUITE_P(
+    Ways, CacheDifferential,
+    ::testing::Values(Universe{1, 0, 128}, Universe{2, 0, 128},
+                      Universe{4, 0, 128}, Universe{8, 0, 128},
+                      Universe{1, std::uint64_t{1} << 32, 512},
+                      Universe{2, std::uint64_t{1} << 32, 512},
+                      Universe{4, std::uint64_t{1} << 32, 512},
+                      Universe{8, std::uint64_t{1} << 32, 512}));
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, CacheConfigTest,
