@@ -59,7 +59,7 @@ namespace svmsim::bench {
 /// two apart.
 inline constexpr int kExitTracedParallel = 3;
 
-/// Exit code for an invalid simulated cluster size (--pdes-procs / --procs):
+/// Exit code for an invalid simulated cluster size (--procs):
 /// not a positive multiple of procs_per_node, or larger than
 /// kMaxTotalProcs. Distinct from the generic bad-flag exit(2) and from
 /// kExitTracedParallel so scripts (and the death tests) can branch on it.

@@ -1,12 +1,21 @@
 // Deterministic sweep dump for build- and mode-equivalence checking.
 //
-// Runs one small fixed sweep per protocol (HLRC and AURC; two apps, two
-// host-overhead points, tiny scale) and prints every observable of each run:
+// Runs one small fixed sweep per protocol (HLRC and AURC; fft, lu and
+// stress-gen@3 at tiny scale) and prints every observable of each run:
 // execution time, events fired, validation flag, uniprocessor baseline,
 // per-category time breakdown and the full protocol/communication counter
 // set. The output is bit-reproducible, so diffing it between two builds or
 // execution modes proves they fire events in the same (time, seq) order
 // everywhere these protocols exercise the engine.
+//
+// The points, in print order: every (protocol, app) at host overhead 0 and
+// 1000 first, then every (protocol, app) at the achievable point and with
+// each of I/O-bus bandwidth, NI occupancy and interrupt cost alone at its
+// best value (CommParams::best(); host overhead's best value is the 0
+// above). So each of the paper's four communication parameters is swept
+// away from the achievable point at every --procs and --topology. Each
+// block's header line names the point's parameter and value ("achievable"
+// for the base point).
 //
 // With --check-consistency every run additionally carries the shadow
 // consistency checker (src/check/); the printed observables are unchanged —
@@ -22,23 +31,30 @@
 //
 // With --procs=N every run simulates an N-processor cluster instead of the
 // paper's 16 (validated like every procs flag: exit 4 when out of range or
-// not a multiple of procs_per_node) — the large-machine equivalence arms of
-// tools/pdes_equivalence.sh and tools/sanitize.sh use this.
+// not a multiple of procs_per_node) — the large-machine arms of
+// tools/pdes_equivalence.sh, tools/sanitize.sh and tools/scale_check.sh use
+// this.
 //
 // With --topology=<spec> every run uses that interconnect (src/topo/).
 // "crossbar" is the default contention-free network; fat tree / torus runs
 // append one "link" line per physical link (occupancy counters), which
-// tools/topology_equivalence.sh holds byte-identical between serial and
-// --par-cores runs.
+// tools/scale_check.sh holds byte-identical between serial and --par-cores
+// runs.
 //
-// A point that fails (a deadlock, a run past the cycle limit, a rejected
-// config) prints no dump: the process names it on stderr and exits 1.
+// A point that fails (a deadlock, a run past the cycle limit, a failed
+// validation, a rejected config) prints no dump: the process names it on
+// stderr and exits 1.
 //
-// Keep the format append-only: the equivalence check compares byte-for-byte.
+// Keep the format append-only: the equivalence checks compare byte-for-byte,
+// and new points go after the existing ones so an older dump stays a byte
+// prefix of a newer one.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -81,16 +97,48 @@ int main(int argc, char** argv) {
   harness::Sweep sweep(apps::Scale::kTiny);
 
   std::vector<harness::SweepPoint> points;
-  for (Protocol proto : {Protocol::kHLRC, Protocol::kAURC}) {
+  std::vector<std::string> labels;  ///< per point, its block's header tail
+  // One point: `app` under `proto` at the base config edited by `edit`.
+  const auto add = [&](Protocol proto, const std::string& app,
+                       std::string label, double value,
+                       const std::function<void(CommParams&)>& edit) {
+    SimConfig cfg = base;
+    cfg.comm.protocol = proto;
+    edit(cfg.comm);
+    cfg.check.enabled = check;
+    cfg.par_cores = par_cores;
+    points.push_back({app, cfg, value});
+    labels.push_back(std::move(label));
+  };
+  const auto named = [](const char* name, double value) {
+    char label[64];
+    std::snprintf(label, sizeof label, "%s=%g", name, value);
+    return std::string(label);
+  };
+  const Protocol protocols[] = {Protocol::kHLRC, Protocol::kAURC};
+  for (Protocol proto : protocols) {
     for (const std::string& app : app_list) {
       for (double overhead : {0.0, 1000.0}) {
-        SimConfig cfg = base;
-        cfg.comm.protocol = proto;
-        cfg.comm.host_overhead = static_cast<Cycles>(overhead);
-        cfg.check.enabled = check;
-        cfg.par_cores = par_cores;
-        points.push_back({app, cfg, overhead});
+        add(proto, app, named("host_overhead", overhead), overhead,
+            [&](CommParams& c) {
+              c.host_overhead = static_cast<Cycles>(overhead);
+            });
       }
+    }
+  }
+  const CommParams best = CommParams::best();
+  const auto io_bus = best.io_bus_mb_per_mhz;
+  const auto ni = static_cast<double>(best.ni_occupancy);
+  const auto irq = static_cast<double>(best.interrupt_cost);
+  for (Protocol proto : protocols) {
+    for (const std::string& app : app_list) {
+      add(proto, app, "achievable", 0, [](CommParams&) {});
+      add(proto, app, named("io_bus_mb_per_mhz", io_bus), io_bus,
+          [&](CommParams& c) { c.io_bus_mb_per_mhz = io_bus; });
+      add(proto, app, named("ni_occupancy", ni), ni,
+          [&](CommParams& c) { c.ni_occupancy = best.ni_occupancy; });
+      add(proto, app, named("interrupt_cost", irq), irq,
+          [&](CommParams& c) { c.interrupt_cost = best.interrupt_cost; });
     }
   }
 
@@ -100,9 +148,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& r = runs[i];
     const auto& cfg = points[i].cfg;
-    std::printf("%s proto=%s host_overhead=%llu\n", r.app.c_str(),
+    std::printf("%s proto=%s %s\n", r.app.c_str(),
                 cfg.comm.protocol == Protocol::kAURC ? "aurc" : "hlrc",
-                static_cast<unsigned long long>(cfg.comm.host_overhead));
+                labels[i].c_str());
     std::printf("  time=%llu events=%llu validated=%d uniprocessor=%llu\n",
                 static_cast<unsigned long long>(r.result.time),
                 static_cast<unsigned long long>(r.result.events),

@@ -94,6 +94,7 @@ Checker::Checker(const Config& cfg, svm::AddressSpace& space)
       per_node_(static_cast<std::size_t>(nodes_)),
       open_interval_(static_cast<std::size_t>(nodes_), 1),
       cut_pending_(static_cast<std::size_t>(nodes_), false),
+      closing_pages_(static_cast<std::size_t>(nodes_)),
       last_vc_(static_cast<std::size_t>(nodes_), svm::VClock(nodes_)),
       arrive_count_(static_cast<std::size_t>(nodes_), 0),
       exit_count_(static_cast<std::size_t>(nodes_), 0) {
@@ -209,6 +210,10 @@ void Checker::on_write(Cycles now, NodeId n, const svm::VClock& vc,
   const svm::PageId p = a / pb;
   PageShadow& sh = shadow(p);
   const svm::GlobalAddr end = a + bytes;
+  // A page of the pending cut that is not demoted yet: the write joins the
+  // closing interval (see on_flush_cut).
+  const std::uint32_t interval = open_interval_[static_cast<std::size_t>(n)] -
+                                 (node_page(n, p).closing ? 1 : 0);
   for (svm::GlobalAddr w = a / kWordBytes; w <= (end - 1) / kWordBytes; ++w) {
     const svm::GlobalAddr wbase = w * kWordBytes;
     WordMeta& m = sh.meta[(wbase % pb) / kWordBytes];
@@ -222,7 +227,7 @@ void Checker::on_write(Cycles now, NodeId n, const svm::VClock& vc,
               static_cast<unsigned long long>(wbase), int{m.writer},
               unsigned{m.interval}, vc.to_string().c_str()));
     }
-    m.interval = open_interval_[static_cast<std::size_t>(n)];
+    m.interval = interval;
     m.writer = static_cast<std::int16_t>(n);
     ++words_written_;
   }
@@ -265,8 +270,9 @@ void Checker::on_page_state(Cycles now, NodeId n, svm::PageId page,
             int(state_name(from).size()), state_name(from).data(),
             int(state_name(to).size()), state_name(to).data()));
   }
+  NodePage& np = node_page(n, page);
+  np.closing = false;
   if (ev == PageEvent::kFetchInstall || ev == PageEvent::kFetchInstallStale) {
-    NodePage& np = node_page(n, page);
     if (ev == PageEvent::kFetchInstall && np.fetching &&
         np.fetch_notices > 0) {
       // A write notice arrived while the fetch was in flight; the reply may
@@ -329,10 +335,13 @@ void Checker::on_update_apply(Cycles now, NodeId writer, svm::PageId page) {
   }
 }
 
-void Checker::on_flush_cut(NodeId n) {
+void Checker::on_flush_cut(NodeId n, std::span<const svm::PageId> pages) {
   const std::lock_guard<std::mutex> g(mu_);
   ++open_interval_[static_cast<std::size_t>(n)];
   cut_pending_[static_cast<std::size_t>(n)] = true;
+  auto& closing = closing_pages_[static_cast<std::size_t>(n)];
+  closing.assign(pages.begin(), pages.end());
+  for (svm::PageId p : closing) node_page(n, p).closing = true;
 }
 
 void Checker::on_vclock(Cycles now, NodeId n, const svm::VClock& vc) {
@@ -352,7 +361,12 @@ void Checker::on_vclock(Cycles now, NodeId n, const svm::VClock& vc) {
   const bool closed = vc.get(n) == open - 1;
   const bool mid_flush =
       cut_pending_[static_cast<std::size_t>(n)] && vc.get(n) == open - 2;
-  if (closed) cut_pending_[static_cast<std::size_t>(n)] = false;
+  if (closed && cut_pending_[static_cast<std::size_t>(n)]) {
+    cut_pending_[static_cast<std::size_t>(n)] = false;
+    auto& closing = closing_pages_[static_cast<std::size_t>(n)];
+    for (svm::PageId p : closing) node_page(n, p).closing = false;
+    closing.clear();
+  }
   if (!closed && !mid_flush) {
     add(Kind::kClockRegression, now, n, 0,
         fmt("own component %u but open interval %u", unsigned{vc.get(n)},

@@ -49,6 +49,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -169,10 +170,14 @@ class Checker {
   void on_update_apply(Cycles now, NodeId writer, svm::PageId page);
 
   // ---- intervals, clocks, synchronization handoffs ------------------------
-  /// The release flush swapped out the interval's dirty list: writes from
-  /// now on belong to the *next* interval (they will be flushed later even
-  /// though the vector clock has not advanced yet).
-  void on_flush_cut(NodeId n);
+  /// The release flush swapped out the interval's dirty list `pages`: writes
+  /// from now on belong to the *next* interval (they will be flushed later
+  /// even though the vector clock has not advanced yet) — except writes to a
+  /// page of `pages` that has not changed state since the cut. Such a page
+  /// is still writable without a fault until the flush demotes it, so its
+  /// writes travel with the closing interval (in its diff, or straight into
+  /// the home copy).
+  void on_flush_cut(NodeId n, std::span<const svm::PageId> pages = {});
   /// The node's vector clock changed (advance at flush, merge at acquire).
   void on_vclock(Cycles now, NodeId n, const svm::VClock& vc);
   void on_lock_release(Cycles now, NodeId n, int lock, const svm::VClock& vc);
@@ -215,6 +220,7 @@ class Checker {
     std::uint32_t notices = 0;
     std::uint32_t fetch_notices = 0;
     bool fetching = false;
+    bool closing = false;  ///< cut, not yet demoted: writes join the cut
   };
   struct LifeTrack {
     std::uint64_t created = 0;
@@ -253,6 +259,9 @@ class Checker {
   /// interval (flush propagation is asynchronous; releases per node are
   /// serialized so at most one cut is ever pending).
   std::vector<bool> cut_pending_;
+  /// Per node, the pages of its pending cut (NodePage::closing is set on
+  /// those not demoted yet); cleared when the interval closes.
+  std::vector<std::vector<svm::PageId>> closing_pages_;
   std::vector<svm::VClock> last_vc_;
   std::map<int, svm::VClock> last_release_;  // per lock id
   std::map<std::pair<NodeId, svm::PageId>, LifeTrack> diffs_;

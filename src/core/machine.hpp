@@ -98,22 +98,8 @@ class Machine {
   [[nodiscard]] engine::FrameRegistry& partition_registry(int p) {
     return registries_.at(static_cast<std::size_t>(p));
   }
-  [[nodiscard]] std::uint64_t partition_events(int p) {
-    return sims_.at(p).queue().events_fired();
-  }
   /// Events fired across all partitions.
   [[nodiscard]] std::uint64_t events_fired();
-  /// High-water mark of simultaneously outstanding pooled clock bodies
-  /// (full clocks + deltas, summed over partitions): the sparse-transport
-  /// footprint figure perf_selfcheck records per scale point.
-  [[nodiscard]] std::uint64_t peak_clock_pool() const noexcept {
-    std::uint64_t peak = 0;
-    for (const svm::ProtocolPools& p : pools_) {
-      peak += p.vclocks.peak_outstanding() +
-              p.clock_deltas.peak_outstanding();
-    }
-    return peak;
-  }
   /// Conservative windows executed by run_parallel (sync-overhead figure).
   [[nodiscard]] std::uint64_t windows() const noexcept { return windows_; }
 

@@ -159,7 +159,6 @@ class ObjectPool {
   [[nodiscard]] PoolRef<T> acquire() {
     assert((locked_ || owner_ == std::this_thread::get_id()) &&
            "unlocked pool touched off its owning thread");
-    note_live(live_.fetch_add(1, std::memory_order_relaxed) + 1);
 #ifdef SVMSIM_POOL_PARANOID
     auto* n = new detail::PoolNode<T>();
     paranoid_live_.fetch_add(1, std::memory_order_relaxed);
@@ -197,12 +196,6 @@ class ObjectPool {
   [[nodiscard]] std::size_t outstanding() const noexcept {
     return allocated() - available();
   }
-  /// High-water mark of simultaneously outstanding objects over the pool's
-  /// lifetime (scale diagnostics: perf_selfcheck records it per run so the
-  /// allocation-free invariant is visible at large machine sizes).
-  [[nodiscard]] std::size_t peak_outstanding() const noexcept {
-    return peak_.load(std::memory_order_relaxed);
-  }
 
  private:
   friend class PoolRef<T>;
@@ -219,19 +212,9 @@ class ObjectPool {
   }
 #endif
 
-  /// Raise the peak-occupancy watermark to `live` (relaxed: the counters
-  /// are diagnostics; contention is already paid by the refcount RMW).
-  void note_live(std::size_t live) noexcept {
-    std::size_t peak = peak_.load(std::memory_order_relaxed);
-    while (live > peak && !peak_.compare_exchange_weak(
-                              peak, live, std::memory_order_relaxed)) {
-    }
-  }
-
   void recycle(detail::PoolNode<T>* n) {
     assert((locked_ || owner_ == std::this_thread::get_id()) &&
            "unlocked pool released off its owning thread");
-    live_.fetch_sub(1, std::memory_order_relaxed);
 #ifdef SVMSIM_POOL_PARANOID
     paranoid_live_.fetch_sub(1, std::memory_order_relaxed);
     delete n;
@@ -251,8 +234,6 @@ class ObjectPool {
 
   bool locked_ = false;
   detail::SpinLock lock_;
-  std::atomic<std::size_t> live_{0};  ///< currently outstanding
-  std::atomic<std::size_t> peak_{0};  ///< lifetime high-water mark
 #ifndef NDEBUG
   std::thread::id owner_ = std::this_thread::get_id();
 #endif

@@ -80,10 +80,6 @@ RunResult run(Workload& w, const SimConfig& cfg, Cycles max_cycles,
   r.stats = m.stats();
   r.events = m.events_fired();
   r.windows = m.windows();
-  r.peak_clock_pool = m.peak_clock_pool();
-  for (int p = 0; p < m.partitions(); ++p) {
-    r.partition_events.push_back(m.partition_events(p));
-  }
   for (ProcId pid = 0; pid < n; ++pid) {
     r.time = std::max(r.time, m.proc(pid).finished_at());
   }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/machine.hpp"
 #include "core/params.hpp"
@@ -45,16 +44,9 @@ struct RunResult {
   /// Consistency violations found by the shadow oracle; always 0 unless the
   /// run had cfg.check.enabled (and the checker compiled in).
   std::uint64_t check_violations = 0;
-  /// PDES mode (cfg.par_cores > 1): events fired by each partition's queue
-  /// (sums to `events`) and conservative windows executed. Serial runs have
-  /// one entry and zero windows.
-  std::vector<std::uint64_t> partition_events;
+  /// PDES mode (cfg.par_cores > 1): conservative windows executed. Serial
+  /// runs execute zero windows.
   std::uint64_t windows = 0;
-  /// High-water mark of simultaneously outstanding pooled clock bodies
-  /// (full vector clocks + sparse deltas, summed over partitions). A host
-  /// diagnostic, not simulated state: serial and PDES runs of one point may
-  /// legitimately differ here, so it is excluded from bit-identity checks.
-  std::uint64_t peak_clock_pool = 0;
 
   /// Per-processor rate of `events` per million compute cycles, averaged
   /// over processors — the normalization used by Table 2 / Figures 3-4.

@@ -100,8 +100,8 @@ class WindowDriver {
   /// exception thrown by an event action aborts the run and rethrows here.
   bool run(Cycles max_cycles);
 
-  /// Windows executed by the last run() (the sync-overhead figure reported
-  /// by perf_selfcheck).
+  /// Windows executed by the last run() (the sync-overhead figure perfbench
+  /// reports as engine.pdes_windows).
   [[nodiscard]] std::uint64_t windows() const noexcept { return windows_; }
 
  private:

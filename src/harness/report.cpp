@@ -92,38 +92,4 @@ void write_file_atomic(const std::string& path, const std::string& content) {
   }
 }
 
-std::optional<std::string> json_object_section(const std::string& text,
-                                               const std::string& key) {
-  const std::size_t k = text.find("\"" + key + "\"");
-  if (k == std::string::npos) return std::nullopt;
-  const std::size_t start = text.find('{', k);
-  if (start == std::string::npos) return std::nullopt;
-  int depth = 0;
-  for (std::size_t i = start; i < text.size(); ++i) {
-    if (text[i] == '{') ++depth;
-    if (text[i] == '}' && --depth == 0) {
-      return text.substr(start, i + 1 - start);
-    }
-  }
-  return std::nullopt;
-}
-
-std::string strip_json_section(std::string text, const std::string& key) {
-  const std::size_t k = text.find("\"" + key + "\"");
-  if (k == std::string::npos) return text;
-  std::size_t begin = text.find_last_of(',', k);
-  if (begin == std::string::npos) begin = k;
-  std::size_t i = text.find('{', k);
-  if (i == std::string::npos) return text;
-  int depth = 0;
-  for (; i < text.size(); ++i) {
-    if (text[i] == '{') ++depth;
-    if (text[i] == '}' && --depth == 0) break;
-  }
-  std::size_t end = i + 1;
-  if (begin == k && end < text.size() && text[end] == ',') ++end;  // leading
-  text.erase(begin, end - begin);
-  return text;
-}
-
 }  // namespace svmsim::harness

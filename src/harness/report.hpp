@@ -2,7 +2,6 @@
 // paper's tables and figures report.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,17 +37,5 @@ void maybe_write_csv(const Table& table, const std::string& csv_dir,
 /// so readers (and a crashed writer) never observe a half-written file.
 /// Throws std::runtime_error on I/O failure.
 void write_file_atomic(const std::string& path, const std::string& content);
-
-/// Extract `"key": {...}` verbatim from a flat JSON object using a
-/// brace-depth scan. Exact for the JSON the bench tools themselves write
-/// (no braces inside strings); used to carry sections of the shared
-/// BENCH_sweep.json across rewrites by different tools.
-[[nodiscard]] std::optional<std::string> json_object_section(
-    const std::string& text, const std::string& key);
-
-/// Remove `"key": {...}` (plus the separating comma) from a flat JSON
-/// object; returns the input unchanged when the key is absent.
-[[nodiscard]] std::string strip_json_section(std::string text,
-                                             const std::string& key);
 
 }  // namespace svmsim::harness

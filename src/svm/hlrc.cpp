@@ -525,7 +525,7 @@ Task<void> SvmAgent::flush(Processor& p) {
   // The swap is the interval boundary: writes from here on refill the live
   // lists and belong to the *next* interval even though the vector clock
   // only advances after the propagation below completes.
-  SVMSIM_CHECK_HOOK(*sim_, on_flush_cut, self_);
+  SVMSIM_CHECK_HOOK(*sim_, on_flush_cut, self_, propagating_);
 
   co_await propagate_dirty(p, propagating_);
 

@@ -108,12 +108,12 @@ TEST(BenchCli, KnownAppsParse) {
 }
 
 TEST(BenchCliDeathTest, ZeroProcsExitsWithBadProcsCode) {
-  EXPECT_EXIT(checked_total_procs("bench_test", "--pdes-procs", 0, 4),
+  EXPECT_EXIT(checked_total_procs("bench_test", "--procs", 0, 4),
               ::testing::ExitedWithCode(kExitBadProcs), "out of range");
 }
 
 TEST(BenchCliDeathTest, NegativeProcsExitsWithBadProcsCode) {
-  EXPECT_EXIT(checked_total_procs("bench_test", "--pdes-procs", -8, 4),
+  EXPECT_EXIT(checked_total_procs("bench_test", "--procs", -8, 4),
               ::testing::ExitedWithCode(kExitBadProcs), "out of range");
 }
 
@@ -124,16 +124,15 @@ TEST(BenchCliDeathTest, OverMaxProcsExitsWithBadProcsCode) {
 }
 
 TEST(BenchCliDeathTest, IndivisibleProcsNamesFlagAndDivisor) {
-  EXPECT_EXIT(checked_total_procs("bench_test", "--pdes-procs", 10, 4),
+  EXPECT_EXIT(checked_total_procs("bench_test", "--procs", 10, 4),
               ::testing::ExitedWithCode(kExitBadProcs),
-              "--pdes-procs=10 is not a multiple of procs_per_node=4");
+              "--procs=10 is not a multiple of procs_per_node=4");
 }
 
 TEST(BenchCli, ValidProcsPassThrough) {
-  EXPECT_EQ(checked_total_procs("bench_test", "--pdes-procs", 256, 4), 256);
-  EXPECT_EQ(checked_total_procs("bench_test", "--pdes-procs", 4, 4), 4);
-  EXPECT_EQ(checked_total_procs("bench_test", "--pdes-procs", kMaxTotalProcs,
-                                4),
+  EXPECT_EQ(checked_total_procs("bench_test", "--procs", 256, 4), 256);
+  EXPECT_EQ(checked_total_procs("bench_test", "--procs", 4, 4), 4);
+  EXPECT_EQ(checked_total_procs("bench_test", "--procs", kMaxTotalProcs, 4),
             kMaxTotalProcs);
 }
 

@@ -121,6 +121,51 @@ TEST_F(CheckerOracle, ConflictingUnorderedWritesAreRacy) {
   EXPECT_TRUE(has(Kind::kRacyWrite));
 }
 
+// A flush cut lists the interval's dirty pages; a page of that list is
+// writable without a fault until the flush demotes it, so such a write
+// travels with the closing interval (its diff, or the home copy itself).
+TEST_F(CheckerOracle, WriteToCutPageBeforeDemoteJoinsClosingInterval) {
+  const std::uint32_t a = 1, b = 2;
+  const svm::PageId cut[] = {0};
+  ck_.on_flush_cut(0, cut);
+  VClock w0(4);  // mid-flush: the own component has not advanced yet
+  ck_.on_write(5, 0, w0, 0, reinterpret_cast<const std::byte*>(&a), sizeof(a));
+  ck_.on_page_state(6, 0, 0, PageState::kReadWrite, PageState::kReadOnly,
+                    PageEvent::kFlushDemote);
+  VClock w1(4);
+  w1.advance(0);  // the flush closes interval 1
+  ck_.on_vclock(7, 0, w1);
+  // Node 1 acquires interval 1: the write is ordered before it.
+  VClock r(4);
+  r.merge(w1);
+  ck_.on_read(8, 1, r, 0, reinterpret_cast<const std::byte*>(&a), sizeof(a));
+  ck_.on_write(9, 1, r, 0, reinterpret_cast<const std::byte*>(&b), sizeof(b));
+  EXPECT_TRUE(ck_.clean());
+  EXPECT_EQ(ck_.checked_words(), 1u);
+  EXPECT_EQ(ck_.racy_words_skipped(), 0u);
+}
+
+TEST_F(CheckerOracle, WriteToCutPageAfterDemoteBelongsToNextInterval) {
+  const std::uint32_t a = 1, b = 2;
+  const svm::PageId cut[] = {0};
+  ck_.on_flush_cut(0, cut);
+  ck_.on_page_state(5, 0, 0, PageState::kReadWrite, PageState::kReadOnly,
+                    PageEvent::kFlushDemote);
+  // The demoted page faults on the next write, which opens interval 2.
+  ck_.on_page_state(6, 0, 0, PageState::kReadOnly, PageState::kReadWrite,
+                    PageEvent::kArmWrite);
+  VClock w0(4);
+  ck_.on_write(7, 0, w0, 0, reinterpret_cast<const std::byte*>(&a), sizeof(a));
+  VClock w1(4);
+  w1.advance(0);
+  ck_.on_vclock(8, 0, w1);
+  // Covering interval 1 is not enough to order after that write.
+  VClock r(4);
+  r.merge(w1);
+  ck_.on_write(9, 1, r, 0, reinterpret_cast<const std::byte*>(&b), sizeof(b));
+  EXPECT_TRUE(has(Kind::kRacyWrite));
+}
+
 TEST_F(CheckerOracle, IllegalPageTransitionFlagged) {
   // invalid -> read-write without a fetch is never a legal edge.
   ck_.on_page_state(5, 1, 0, PageState::kInvalid, PageState::kReadWrite,

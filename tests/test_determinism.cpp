@@ -40,8 +40,10 @@ TEST(Determinism, RunResultCountsEvents) {
   EXPECT_GT(r.events, 0u);
 }
 
+// The fig05 host-overhead matrix over fft and lu at tiny scale, serial vs a
+// four-worker --jobs pool.
 TEST(Determinism, SerialAndParallelSweepIdentical) {
-  const std::vector<double> values{0, 500, 2000};
+  const std::vector<double> values{0, 500, 1000, 2000};
   const auto apply = [](SimConfig& c, double v) {
     c.comm.host_overhead = static_cast<Cycles>(v);
   };

@@ -248,7 +248,7 @@ TEST(TopoRun, ContendedSerialAndParallelStatsIdentical) {
   ASSERT_TRUE(par.validated);
   EXPECT_EQ(serial.time, par.time);
   // Stats::operator== covers the per-link rows, so this is the in-process
-  // form of the tools/topology_equivalence.sh byte-diff.
+  // form of the tools/scale_check.sh serial-vs-PDES byte-diff.
   EXPECT_TRUE(serial.stats == par.stats);
 }
 
