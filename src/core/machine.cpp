@@ -1,6 +1,7 @@
 #include "core/machine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -22,6 +23,10 @@ const SimConfig& checked(const SimConfig& cfg) {
   if (cfg.comm.total_procs % cfg.comm.procs_per_node != 0) {
     throw std::invalid_argument(
         "total_procs must be a multiple of procs_per_node");
+  }
+  // The shared address space splits addresses with a shift and a mask.
+  if (!std::has_single_bit(cfg.comm.page_bytes)) {
+    throw std::invalid_argument("page_bytes must be a nonzero power of two");
   }
   return cfg;
 }

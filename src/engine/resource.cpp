@@ -4,60 +4,66 @@
 
 namespace svmsim::engine {
 
-namespace {
-
-// Awaiter that enqueues the coroutine into a FIFO wait list unless the
-// resource is free, in which case it proceeds immediately.
-struct FifoWait {
-  bool& busy;
-  RingQueue<std::coroutine_handle<>>& waiters;
-  bool await_ready() const noexcept { return false; }
-  bool await_suspend(std::coroutine_handle<> h) {
-    if (!busy) {
-      busy = true;
-      return false;
-    }
-    waiters.push_back(h);
+bool Resource::submit(Cycles service, std::coroutine_handle<> h) {
+  // Commit this request to the FIFO backlog at submit time: back-to-back
+  // service means the queue cannot clear before every already-submitted
+  // request's service has been paid.
+  committed_until_ = std::max(committed_until_, sim_->now()) + service;
+  if (busy_) {
+    waiters_.push_back(Waiter{h, service});
     return true;
   }
-  void await_resume() const noexcept {}
-};
+  busy_ = true;
+  return start(service, h);
+}
 
-}  // namespace
-
-Task<void> Resource::acquire() {
-  co_await FifoWait{busy_, waiters_};
-  // When resumed from the wait list, release() has already kept busy_ true
-  // on our behalf.
+bool Resource::start(Cycles service, std::coroutine_handle<> h) {
+  ++grants_;
+  busy_cycles_ += service;
+  busy_until_ = sim_->now() + service;
+  if (service == 0) {
+    release();
+    return false;
+  }
+  sim_->queue().schedule_in(service, [this, h] {
+    release();
+    h.resume();
+  });
+  return true;
 }
 
 void Resource::release() {
   if (!waiters_.empty()) {
-    auto h = waiters_.front();
+    const Waiter w = waiters_.front();
     waiters_.pop_front();
-    // Hand over ownership directly: busy_ stays true for the new holder.
-    sim_->queue().schedule_now([h] { h.resume(); });
+    // Hand over ownership directly: busy_ stays true for the new holder. A
+    // with() holder only resumes; a serve() grant starts now.
+    sim_->queue().schedule_now([this, w] {
+      if (w.service == kHold || !start(w.service, w.handle)) w.handle.resume();
+    });
   } else {
     busy_ = false;
   }
 }
 
-Task<void> Resource::serve(Cycles service) {
-  // Commit this request to the FIFO backlog up front (the body runs
-  // synchronously to the first suspension point, so the update lands at
-  // submit time): back-to-back service means the queue cannot clear before
-  // every already-submitted request's service has been paid.
-  committed_until_ = std::max(committed_until_, sim_->now()) + service;
-  co_await acquire();
-  ++grants_;
-  busy_cycles_ += service;
-  busy_until_ = sim_->now() + service;
-  if (service > 0) co_await sim_->delay(service);
-  release();
-}
-
 Task<void> Resource::with(std::function<Task<void>()> body) {
-  co_await acquire();
+  struct Hold {
+    Resource& r;
+    bool await_ready() const noexcept { return false; }
+    bool await_suspend(std::coroutine_handle<> h) {
+      if (!r.busy_) {
+        r.busy_ = true;
+        return false;
+      }
+      r.waiters_.push_back(Waiter{h, kHold});
+      return true;
+    }
+    void await_resume() const noexcept {}
+  };
+
+  co_await Hold{*this};
+  // When resumed from the wait list, release() has already kept busy_ true
+  // on our behalf.
   ++grants_;
   const Cycles start = sim_->now();
   busy_until_ = start;  // body duration unknown; grant time is the bound
@@ -72,34 +78,42 @@ Task<void> Resource::with(std::function<Task<void>()> body) {
   release();
 }
 
-Task<void> PriorityResource::serve(int priority, Cycles service) {
-  struct PrioWait {
-    PriorityResource& r;
-    int priority;
-    bool await_ready() const noexcept { return false; }
-    bool await_suspend(std::coroutine_handle<> h) {
-      if (!r.busy_) {
-        r.busy_ = true;
-        return false;
-      }
-      r.waiters_.push_back(Waiter{priority, r.next_seq_++, h});
-      std::push_heap(r.waiters_.begin(), r.waiters_.end(), After{});
-      return true;
-    }
-    void await_resume() const noexcept {}
-  };
+bool PriorityResource::submit(int priority, Cycles service,
+                              std::coroutine_handle<> h) {
+  if (busy_) {
+    waiters_.push_back(Waiter{priority, next_seq_++, h, service});
+    std::push_heap(waiters_.begin(), waiters_.end(), After{});
+    return true;
+  }
+  busy_ = true;
+  return start(service, h);
+}
 
-  co_await PrioWait{*this, priority};
+bool PriorityResource::start(Cycles service, std::coroutine_handle<> h) {
   ++grants_;
   const Cycles occupancy = arbitration_ + service;
   busy_cycles_ += occupancy;
   busy_until_ = sim_->now() + occupancy;
-  if (occupancy > 0) co_await sim_->delay(occupancy);
+  if (occupancy == 0) {
+    release();
+    return false;
+  }
+  sim_->queue().schedule_in(occupancy, [this, h] {
+    release();
+    if (h) h.resume();
+  });
+  return true;
+}
+
+void PriorityResource::release() {
   if (!waiters_.empty()) {
     std::pop_heap(waiters_.begin(), waiters_.end(), After{});
-    auto h = waiters_.back().handle;
+    const Waiter w = waiters_.back();
     waiters_.pop_back();
-    sim_->queue().schedule_now([h] { h.resume(); });  // busy_ stays true
+    // busy_ stays true for the new holder.
+    sim_->queue().schedule_now([this, h = w.handle, s = w.service] {
+      if (!start(s, h) && h) h.resume();
+    });
   } else {
     busy_ = false;
   }

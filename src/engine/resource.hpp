@@ -8,9 +8,15 @@
 //                     write buffer > memory refill > NI-in).
 //
 // Both track busy time and grant counts so benches can report utilization.
-// Wait lists are allocation-free in steady state: Resource queues waiters in
-// a RingQueue, PriorityResource in a vector-backed binary heap (the old
-// std::map paid a node allocation per contended bus grant).
+// serve() returns an awaiter, not a coroutine, so a grant costs no frame:
+// a grant on a free resource schedules one completion event that releases
+// the resource and resumes the waiter; a queued waiter is handed the
+// resource by a same-tick event that does its grant accounting and
+// schedules its completion. These are the events, times and order of a
+// coroutine that acquires the resource, delays for its service and hands it
+// on (docs/engine.md §6). Wait lists are allocation-free in steady state:
+// Resource queues waiters in a RingQueue, PriorityResource in a
+// vector-backed binary heap.
 #pragma once
 
 #include <coroutine>
@@ -29,10 +35,22 @@ class Resource {
  public:
   explicit Resource(Simulator& sim) noexcept : sim_(&sim) {}
 
-  /// Occupy the resource for `service` cycles, waiting in FIFO order first.
-  /// This is the common use; bare acquire/release is not exposed to keep
-  /// callers exception-safe (CP.20: no naked lock/unlock).
-  Task<void> serve(Cycles service);
+  /// Awaitable: occupy the resource for `service` cycles, waiting in FIFO
+  /// order first. This is the common use; bare acquire/release is not
+  /// exposed to keep callers exception-safe (CP.20: no naked lock/unlock).
+  /// A zero-service grant on a free resource completes without suspending.
+  [[nodiscard]] auto serve(Cycles service) noexcept {
+    struct Awaiter {
+      Resource& r;
+      Cycles service;
+      bool await_ready() const noexcept { return false; }
+      bool await_suspend(std::coroutine_handle<> h) {
+        return r.submit(service, h);
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this, service};
+  }
 
   /// Run `body` while holding the resource exclusively; the hold time is
   /// whatever simulated time `body` consumes. Used to serialize interrupt
@@ -82,8 +100,22 @@ class Resource {
   }
 
  private:
-  friend struct FifoWait;
-  Task<void> acquire();
+  /// A queued request: a serve() of `service` cycles, or a with() hold
+  /// (service == kHold), which the hand-off only resumes.
+  struct Waiter {
+    std::coroutine_handle<> handle;
+    Cycles service;
+  };
+  static constexpr Cycles kHold = kNever;
+
+  /// serve() on behalf of `h`: commit the backlog, then start the grant
+  /// or queue for it. Returns false when the grant already completed.
+  bool submit(Cycles service, std::coroutine_handle<> h);
+  /// Grant accounting and the completion event of a `service`-cycle grant
+  /// that starts now. Returns false when it completed on the spot
+  /// (service == 0), having released the resource.
+  bool start(Cycles service, std::coroutine_handle<> h);
+  /// End the current grant: hand the resource to the next waiter or free it.
   void release();
 
   Simulator* sim_;
@@ -92,7 +124,7 @@ class Resource {
   Cycles busy_until_ = 0;
   Cycles committed_until_ = 0;
   std::uint64_t grants_ = 0;
-  RingQueue<std::coroutine_handle<>> waiters_;
+  RingQueue<Waiter> waiters_;
 };
 
 class PriorityResource {
@@ -101,9 +133,28 @@ class PriorityResource {
   PriorityResource(Simulator& sim, Cycles arbitration) noexcept
       : sim_(&sim), arbitration_(arbitration) {}
 
-  /// Occupy the resource for `service` cycles. Lower `priority` value wins
-  /// arbitration; ties are FIFO.
-  Task<void> serve(int priority, Cycles service);
+  /// Awaitable: occupy the resource for `service` cycles. Lower `priority`
+  /// value wins arbitration; ties are FIFO. A grant whose occupancy
+  /// (arbitration + service) is zero completes without suspending when the
+  /// resource is free.
+  [[nodiscard]] auto serve(int priority, Cycles service) noexcept {
+    struct Awaiter {
+      PriorityResource& r;
+      int priority;
+      Cycles service;
+      bool await_ready() const noexcept { return false; }
+      bool await_suspend(std::coroutine_handle<> h) {
+        return r.submit(priority, service, h);
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this, priority, service};
+  }
+
+  /// serve() with no one waiting for it: the grant arbitrates and occupies
+  /// the resource exactly like an awaited one, and its completion resumes
+  /// nothing.
+  void post(int priority, Cycles service) { submit(priority, service, {}); }
 
   [[nodiscard]] Cycles busy_cycles() const noexcept { return busy_cycles_; }
   [[nodiscard]] std::uint64_t grants() const noexcept { return grants_; }
@@ -119,7 +170,8 @@ class PriorityResource {
   struct Waiter {
     int priority;
     std::uint64_t seq;
-    std::coroutine_handle<> handle;
+    std::coroutine_handle<> handle;  // null for post()
+    Cycles service;
   };
   /// Heap comparator: the *minimum* (priority, seq) must surface, so order
   /// by "greater" for std::push_heap/pop_heap max-heap semantics.
@@ -129,6 +181,11 @@ class PriorityResource {
       return a.seq > b.seq;
     }
   };
+
+  /// As Resource::submit; a null `h` is a post().
+  bool submit(int priority, Cycles service, std::coroutine_handle<> h);
+  bool start(Cycles service, std::coroutine_handle<> h);
+  void release();
 
   Simulator* sim_;
   Cycles arbitration_;

@@ -2,6 +2,7 @@
 // address space). Used for both the write-through L1 and write-back L2.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -31,10 +32,26 @@ class Cache {
 
   /// Probe for `line_addr` (byte address of the line start). On hit, updates
   /// LRU and optionally marks the line dirty.
-  bool lookup(std::uint64_t line_addr, bool mark_dirty = false);
+  bool lookup(std::uint64_t line_addr, bool mark_dirty = false) {
+    const std::uint64_t line = line_addr >> line_shift_;
+    Slot* set = set_of(line);
+    const std::uint32_t w = find(set, line);
+    if (w == ways_) {
+      ++misses_;
+      return false;
+    }
+    const Slot hit = set[w] | static_cast<Slot>(mark_dirty);
+    for (std::uint32_t i = w; i > 0; --i) set[i] = set[i - 1];
+    set[0] = hit;
+    ++hits_;
+    return true;
+  }
 
   /// Probe without disturbing LRU/dirty state.
-  [[nodiscard]] bool contains(std::uint64_t line_addr) const;
+  [[nodiscard]] bool contains(std::uint64_t line_addr) const {
+    const std::uint64_t line = line_addr >> line_shift_;
+    return find(set_of(line), line) != ways_;
+  }
 
   struct Victim {
     bool evicted = false;           // a valid line was displaced
@@ -44,7 +61,27 @@ class Cache {
 
   /// Install `line_addr`, which must not be resident, evicting the LRU way.
   /// Returns the victim.
-  Victim fill(std::uint64_t line_addr, bool dirty);
+  Victim fill(std::uint64_t line_addr, bool dirty) {
+    assert(!contains(line_addr) && "fill of a resident line");
+    const std::uint64_t line = line_addr >> line_shift_;
+    Slot* set = set_of(line);
+    const Slot last = set[ways_ - 1];  // the LRU way, or an empty one
+    Victim out;
+    if (last != 0) {
+      const std::uint64_t victim =
+          ((std::uint64_t{last >> 1} - 1) << set_shift_) | (line & set_mask_);
+      out.evicted = true;
+      out.dirty = (last & 1) != 0;
+      out.line_addr = victim << line_shift_;
+      resident_[victim >> 6] &= ~bit_of(victim);
+    }
+    for (std::uint32_t i = ways_ - 1; i > 0; --i) set[i] = set[i - 1];
+    set[0] = tag_of(line) | static_cast<Slot>(dirty);
+    // A fill is the only way a line above every resident one appears.
+    if ((line >> 6) >= resident_.size()) resident_.resize((line >> 6) + 1);
+    resident_[line >> 6] |= bit_of(line);
+    return out;
+  }
 
   /// Drop every resident line whose first byte lies in [start, start+len)
   /// (the sum saturates, so a range may run to the end of the address
@@ -57,6 +94,10 @@ class Cache {
   [[nodiscard]] std::uint32_t line_bytes() const noexcept {
     return params_.line_bytes;
   }
+  /// log2(line_bytes()): line_addr >> line_shift() is the line number.
+  [[nodiscard]] std::uint32_t line_shift() const noexcept {
+    return line_shift_;
+  }
   [[nodiscard]] Cycles hit_cycles() const noexcept {
     return params_.hit_cycles;
   }
@@ -67,7 +108,17 @@ class Cache {
  private:
   using Slot = std::uint32_t;
 
-  [[nodiscard]] Slot tag_of(std::uint64_t line) const noexcept;
+  /// Set-relative tags `(line >> set_shift) + 1` take the values 1 ..
+  /// kTagValues, so that shifted left past the dirty bit they fit a Slot.
+  static constexpr std::uint64_t kTagValues = (std::uint64_t{1} << 31) - 1;
+
+  static constexpr std::uint64_t bit_of(std::uint64_t line) noexcept {
+    return std::uint64_t{1} << (line & 63);
+  }
+  [[nodiscard]] Slot tag_of(std::uint64_t line) const noexcept {
+    assert((line >> set_shift_) < kTagValues && "line beyond the tag reach");
+    return static_cast<Slot>(((line >> set_shift_) + 1) << 1);
+  }
   [[nodiscard]] Slot* set_of(std::uint64_t line) noexcept {
     return &slots_[(line & set_mask_) * ways_];
   }
@@ -76,7 +127,14 @@ class Cache {
   }
   /// Way holding `line` in its set, or ways_ when it is not resident.
   [[nodiscard]] std::uint32_t find(const Slot* set,
-                                   std::uint64_t line) const noexcept;
+                                   std::uint64_t line) const noexcept {
+    const Slot tag = tag_of(line);
+    std::uint32_t w = 0;
+    for (; w < ways_ && set[w] != 0; ++w) {
+      if ((set[w] & ~Slot{1}) == tag) return w;
+    }
+    return ways_;
+  }
   /// Remove resident `line`, closing the gap so the valid ways stay a prefix.
   void drop(std::uint64_t line) noexcept;
 

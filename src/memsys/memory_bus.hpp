@@ -32,9 +32,16 @@ class MemoryBus {
     return bus_cycles * arch_->membus_cpu_per_bus_cycle;
   }
 
-  /// Arbitrate and occupy the bus for a `bytes` transfer.
-  engine::Task<void> transaction(BusMaster m, std::uint64_t bytes) {
+  /// Awaitable: arbitrate and occupy the bus for a `bytes` transfer.
+  [[nodiscard]] auto transaction(BusMaster m, std::uint64_t bytes) {
     return res_.serve(static_cast<int>(m), transfer_cycles(bytes));
+  }
+
+  /// The same transaction with no one waiting for it (background
+  /// writebacks and write-allocate fills): it contends for the bus but
+  /// blocks nobody.
+  void post(BusMaster m, std::uint64_t bytes) {
+    res_.post(static_cast<int>(m), transfer_cycles(bytes));
   }
 
   [[nodiscard]] Cycles busy_cycles() const { return res_.busy_cycles(); }

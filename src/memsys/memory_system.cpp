@@ -11,20 +11,10 @@ ProcMemory::ProcMemory(engine::Simulator& sim, const ArchParams& arch,
       l2_(arch.l2),
       wb_(arch.wb_entries, arch.wb_retire_at, arch.l2.hit_cycles) {}
 
-std::optional<Cycles> ProcMemory::read_line_fast(std::uint64_t line_addr,
-                                                 Cycles now) {
+void ProcMemory::drain_write_buffer(Cycles now) {
   retired_scratch_.clear();
   wb_.advance(now, retired_scratch_);
   absorb_retired(retired_scratch_);
-
-  if (wb_.contains(line_addr)) return arch_->wb_hit_cycles;
-  if (l1_.lookup(line_addr)) return arch_->l1.hit_cycles;
-  if (l2_.lookup(line_addr)) {
-    // L2 hit refills the (write-through, so never dirty) L1.
-    l1_.fill(line_addr, /*dirty=*/false);
-    return arch_->l2.hit_cycles;
-  }
-  return std::nullopt;  // memory access needed
 }
 
 engine::Task<Cycles> ProcMemory::read_line_slow(std::uint64_t line_addr) {
@@ -37,7 +27,7 @@ engine::Task<Cycles> ProcMemory::read_line_slow(std::uint64_t line_addr) {
 
   auto victim = l2_.fill(line_addr, /*dirty=*/false);
   if (victim.evicted && victim.dirty) {
-    background_fill(victim.line_addr, BusMaster::kL2);
+    bus_->post(BusMaster::kL2, arch_->l2.line_bytes);
   }
   l1_.fill(line_addr, /*dirty=*/false);
   co_return sim_->now() - start;
@@ -63,20 +53,14 @@ void ProcMemory::absorb_retired(const std::vector<std::uint64_t>& retired) {
   for (std::uint64_t line : retired) {
     if (l2_.lookup(line, /*mark_dirty=*/true)) continue;
     // Write-allocate: fetch the line in the background at write-buffer
-    // priority; the processor does not wait.
+    // priority; the processor does not wait. A dirty victim's writeback
+    // contends for the bus the same way.
     auto victim = l2_.fill(line, /*dirty=*/true);
-    background_fill(line, BusMaster::kWriteBuffer);
+    bus_->post(BusMaster::kWriteBuffer, arch_->l2.line_bytes);
     if (victim.evicted && victim.dirty) {
-      background_fill(victim.line_addr, BusMaster::kL2);
+      bus_->post(BusMaster::kL2, arch_->l2.line_bytes);
     }
   }
-}
-
-void ProcMemory::background_fill(std::uint64_t /*line_addr*/,
-                                 BusMaster master) {
-  // Fire-and-forget bus transaction: contends with everyone else on the
-  // node's bus but does not block the issuing processor.
-  engine::spawn(bus_->transaction(master, arch_->l2.line_bytes));
 }
 
 }  // namespace svmsim::memsys

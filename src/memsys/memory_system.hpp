@@ -25,15 +25,26 @@ class ProcMemory {
  public:
   ProcMemory(engine::Simulator& sim, const ArchParams& arch, MemoryBus& bus);
 
-  [[nodiscard]] std::uint32_t line_bytes() const noexcept {
-    return l1_.line_bytes();
+  /// log2 of the L1 line size: `addr >> line_shift()` is a line number.
+  [[nodiscard]] std::uint32_t line_shift() const noexcept {
+    return l1_.line_shift();
   }
 
   /// A load of one cache line, fast path. Returns the hit latency, or
   /// nullopt if the line misses to memory (call `read_line_slow`).
   /// `now` is the processor's current local time.
   [[nodiscard]] std::optional<Cycles> read_line_fast(std::uint64_t line_addr,
-                                                     Cycles now);
+                                                     Cycles now) {
+    if (!wb_.quiet(now)) drain_write_buffer(now);
+    if (wb_.contains(line_addr)) return arch_->wb_hit_cycles;
+    if (l1_.lookup(line_addr)) return arch_->l1.hit_cycles;
+    if (l2_.lookup(line_addr)) {
+      // L2 hit refills the (write-through, so never dirty) L1.
+      l1_.fill(line_addr, /*dirty=*/false);
+      return arch_->l2.hit_cycles;
+    }
+    return std::nullopt;  // memory access needed
+  }
 
   /// A load that missed: fetch the line over the memory bus. Simulated time
   /// advances; returns the cycles the processor stalled.
@@ -55,10 +66,12 @@ class ProcMemory {
   [[nodiscard]] const WriteBuffer& wb() const noexcept { return wb_; }
 
  private:
+  /// Advance the write buffer's drain clock to `now` and absorb what
+  /// retires.
+  void drain_write_buffer(Cycles now);
   /// Account a retired write-buffer entry: L2 write-allocate; misses and
   /// dirty evictions produce background bus traffic.
   void absorb_retired(const std::vector<std::uint64_t>& retired);
-  void background_fill(std::uint64_t line_addr, BusMaster master);
 
   engine::Simulator* sim_;
   const ArchParams* arch_;

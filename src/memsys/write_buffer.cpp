@@ -30,8 +30,7 @@ void WriteBuffer::advance(Cycles now, std::vector<std::uint64_t>& retired) {
 Cycles WriteBuffer::push(std::uint64_t line_addr, Cycles now,
                          std::vector<std::uint64_t>& retired) {
   advance(now, retired);
-  if (std::find(pending_.begin(), pending_.end(), line_addr) !=
-      pending_.end()) {
+  if (contains(line_addr)) {
     ++coalesced_;
     return 0;
   }
@@ -53,11 +52,6 @@ Cycles WriteBuffer::push(std::uint64_t line_addr, Cycles now,
   pending_.push_back(line_addr);
   advance(now + stall, retired);
   return stall;
-}
-
-bool WriteBuffer::contains(std::uint64_t line_addr) const {
-  return std::find(pending_.begin(), pending_.end(), line_addr) !=
-         pending_.end();
 }
 
 }  // namespace svmsim::memsys

@@ -20,9 +20,9 @@ class IoBus {
     return comm_->io_bus_cycles(bytes);
   }
 
-  /// Occupy the I/O bus for a `bytes` DMA (either direction; the bus is
-  /// shared by the NI's incoming and outgoing paths).
-  engine::Task<void> dma(std::uint64_t bytes) {
+  /// Awaitable: occupy the I/O bus for a `bytes` DMA (either direction; the
+  /// bus is shared by the NI's incoming and outgoing paths).
+  [[nodiscard]] auto dma(std::uint64_t bytes) {
     return res_.serve(transfer_cycles(bytes));
   }
 

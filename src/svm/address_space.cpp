@@ -1,5 +1,6 @@
 #include "svm/address_space.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -9,9 +10,12 @@ namespace svmsim::svm {
 
 AddressSpace::AddressSpace(int nodes, std::uint32_t page_bytes,
                            std::uint64_t max_bytes)
-    : nodes_(nodes), page_bytes_(page_bytes), max_bytes_(max_bytes) {
+    : nodes_(nodes),
+      page_bytes_(page_bytes),
+      page_shift_(static_cast<std::uint32_t>(std::countr_zero(page_bytes))),
+      max_bytes_(max_bytes) {
   assert(nodes > 0);
-  assert(page_bytes >= 256 && (page_bytes & (page_bytes - 1)) == 0);
+  assert(std::has_single_bit(page_bytes));
   copies_.resize(static_cast<std::size_t>(nodes));
 }
 
@@ -74,12 +78,9 @@ void AddressSpace::set_home_range(GlobalAddr addr, std::uint64_t len,
   }
 }
 
-PageCopy& AddressSpace::copy(NodeId n, PageId p) {
-  auto& slot = copies_[static_cast<std::size_t>(n)][static_cast<std::size_t>(p)];
-  if (!slot) {
-    slot = std::make_unique<PageCopy>();
-    slot->data.resize(page_bytes_);
-  }
+PageCopy& AddressSpace::allocate_copy(std::unique_ptr<PageCopy>& slot) {
+  slot = std::make_unique<PageCopy>();
+  slot->data.resize(page_bytes_);
   return *slot;
 }
 

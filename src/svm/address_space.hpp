@@ -60,9 +60,10 @@ struct Distribution {
 
 class AddressSpace {
  public:
-  /// Allocations may not end past `max_bytes`; a Machine passes the tag
-  /// reach of its caches (memsys::Cache::tag_reach), since an address past
-  /// it would alias a resident line.
+  /// `page_bytes` must be a nonzero power of two (a Machine rejects other
+  /// configs up front). Allocations may not end past `max_bytes`; a Machine
+  /// passes the tag reach of its caches (memsys::Cache::tag_reach), since an
+  /// address past it would alias a resident line.
   AddressSpace(int nodes, std::uint32_t page_bytes,
                std::uint64_t max_bytes = ~std::uint64_t{0});
 
@@ -75,9 +76,11 @@ class AddressSpace {
   }
   [[nodiscard]] int nodes() const noexcept { return nodes_; }
   [[nodiscard]] std::uint64_t max_bytes() const noexcept { return max_bytes_; }
-  [[nodiscard]] PageId page_of(GlobalAddr a) const { return a / page_bytes_; }
-  [[nodiscard]] std::uint32_t offset_of(GlobalAddr a) const {
-    return static_cast<std::uint32_t>(a % page_bytes_);
+  [[nodiscard]] PageId page_of(GlobalAddr a) const noexcept {
+    return a >> page_shift_;
+  }
+  [[nodiscard]] std::uint32_t offset_of(GlobalAddr a) const noexcept {
+    return static_cast<std::uint32_t>(a & (page_bytes_ - 1));
   }
   [[nodiscard]] std::uint64_t page_count() const noexcept {
     return homes_.size();
@@ -96,7 +99,11 @@ class AddressSpace {
   void set_home_range(GlobalAddr addr, std::uint64_t len, NodeId home);
 
   /// This node's copy of page `p` (created on demand, unmapped).
-  PageCopy& copy(NodeId n, PageId p);
+  PageCopy& copy(NodeId n, PageId p) {
+    auto& slot =
+        copies_[static_cast<std::size_t>(n)][static_cast<std::size_t>(p)];
+    return slot ? *slot : allocate_copy(slot);
+  }
   [[nodiscard]] bool has_copy(NodeId n, PageId p) const;
 
   /// A recycled twin buffer holding a copy of `data` (HLRC write detection).
@@ -125,9 +132,12 @@ class AddressSpace {
 
  private:
   PageCopy& make_home_copy(PageId p);
+  /// Create the unmapped copy an empty copy() slot stands for.
+  PageCopy& allocate_copy(std::unique_ptr<PageCopy>& slot);
 
   int nodes_;
   std::uint32_t page_bytes_;
+  std::uint32_t page_shift_;  ///< log2(page_bytes_)
   std::uint64_t max_bytes_;
   bool parallel_ = false;  ///< PDES mode: first-touch homing disallowed
   GlobalAddr next_ = 0;

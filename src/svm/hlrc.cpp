@@ -410,13 +410,13 @@ void SvmAgent::mark_dirty(PageId page, PageCopy& c) {
 
 bool SvmAgent::advance(Processor& p, ReadAccess& a) {
   const std::uint32_t pb = space_->page_bytes();
-  const std::uint32_t lb = p.mem().line_bytes();
+  const std::uint32_t ls = p.mem().line_shift();
   for (;;) {
     // Timing: one access per cache line of the copied chunk. A miss stops
     // at the missed line; finish() reads it over the bus and resumes after
     // it, so no line is probed twice.
     for (; a.line < a.end_line; ++a.line) {
-      const auto hit = p.mem().read_line_fast(a.line * lb, p.local_now());
+      const auto hit = p.mem().read_line_fast(a.line << ls, p.local_now());
       p.charge(TimeCat::kCompute, 1);
       if (!hit) return false;
       if (*hit > 1) p.charge(TimeCat::kMemStall, *hit - 1);
@@ -436,8 +436,8 @@ bool SvmAgent::advance(Processor& p, ReadAccess& a) {
     }
     SVMSIM_CHECK_HOOK(*sim_, on_read, sim_->now(), self_, vc_, a.addr,
                       c.data.data() + off, chunk);
-    a.line = a.addr / lb;
-    a.end_line = (a.addr + chunk - 1) / lb + 1;
+    a.line = a.addr >> ls;
+    a.end_line = ((a.addr + chunk - 1) >> ls) + 1;
     a.addr += chunk;
     a.bytes -= chunk;
   }
@@ -450,7 +450,7 @@ Task<void> SvmAgent::finish(Processor& p, ReadAccess a) {
     if (a.line < a.end_line) {
       co_await p.drain();
       const Cycles stall =
-          co_await p.mem().read_line_slow(a.line * p.mem().line_bytes());
+          co_await p.mem().read_line_slow(a.line << p.mem().line_shift());
       p.note(TimeCat::kMemStall, stall);
       ++a.line;
     } else if (a.bytes > 0) {
@@ -461,7 +461,7 @@ Task<void> SvmAgent::finish(Processor& p, ReadAccess a) {
 
 bool SvmAgent::advance(Processor& p, WriteAccess& a) {
   const std::uint32_t pb = space_->page_bytes();
-  const std::uint32_t lb = p.mem().line_bytes();
+  const std::uint32_t ls = p.mem().line_shift();
   while (a.bytes > 0) {
     const PageId page = space_->page_of(a.addr);
     PageCopy& c = space_->copy(self_, page);
@@ -476,10 +476,10 @@ bool SvmAgent::advance(Processor& p, WriteAccess& a) {
       a.src += chunk;
     }
     on_store(p, page, c, off, chunk);
-    const std::uint64_t first_line = a.addr / lb;
-    const std::uint64_t last_line = (a.addr + chunk - 1) / lb;
+    const std::uint64_t first_line = a.addr >> ls;
+    const std::uint64_t last_line = (a.addr + chunk - 1) >> ls;
     for (std::uint64_t ln = first_line; ln <= last_line; ++ln) {
-      const auto cost = p.mem().write_line(ln * lb, p.local_now());
+      const auto cost = p.mem().write_line(ln << ls, p.local_now());
       p.charge(TimeCat::kCompute, cost.issue);
       if (cost.wb_stall > 0) p.charge(TimeCat::kWriteBufStall, cost.wb_stall);
     }

@@ -3,6 +3,7 @@
 
 #include "apps/registry.hpp"
 #include "common.hpp"
+#include "harness/sweep.hpp"
 
 namespace svmsim::test {
 namespace {
@@ -51,6 +52,32 @@ TEST(Machine, RejectsIndivisibleClustering) {
   cfg.comm.total_procs = 16;
   cfg.comm.procs_per_node = 3;
   EXPECT_THROW(Machine m(cfg), std::invalid_argument);
+}
+
+TEST(Machine, RejectsPageSizesThatAreNotPowersOfTwo) {
+  // Addresses split into page and offset with a shift and a mask, so any
+  // other page size would map addresses to the wrong pages silently.
+  SimConfig cfg = config_with(4, 2);
+  cfg.comm.page_bytes = 3000;
+  EXPECT_THROW(Machine m(cfg), std::invalid_argument);
+  cfg.comm.page_bytes = 0;
+  EXPECT_THROW(Machine m(cfg), std::invalid_argument);
+
+  // In a sweep the rejected config is a failed point, not a crash.
+  cfg.comm.page_bytes = 3000;
+  harness::Sweep sweep(apps::Scale::kTiny);
+  const auto runs = sweep.run_points({{"fft", cfg, 3000.0}});
+  ASSERT_TRUE(runs[0].failed());
+  EXPECT_NE(runs[0].error.find("page_bytes"), std::string::npos)
+      << runs[0].error;
+}
+
+TEST(Machine, RunsWithPagesSmallerThanACacheLine) {
+  SimConfig cfg = config_with(4, 2);
+  cfg.comm.page_bytes = 32;
+  auto app = apps::make_app("fft", apps::Scale::kTiny);
+  const RunResult r = svmsim::run(*app, cfg);
+  EXPECT_TRUE(r.validated);
 }
 
 TEST(Machine, ProcessorNodeMapping) {
