@@ -1,10 +1,14 @@
 #include "bench_common.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace svmsim::bench {
 
@@ -27,6 +31,19 @@ Options Options::parse(int argc, char** argv) {
     std::exit(2);
   }
   opt.csv_dir = cli.get_or("csv", "");
+  if (!opt.csv_dir.empty()) {
+    // Checked before any point runs: a missing directory would otherwise
+    // surface only when the first finished table is written.
+    std::error_code ec;
+    if (!std::filesystem::is_directory(opt.csv_dir, ec) ||
+        ::access(opt.csv_dir.c_str(), W_OK) != 0) {
+      std::fprintf(stderr,
+                   "%s: --csv directory '%s' does not exist or is not "
+                   "writable\n",
+                   opt.prog.c_str(), opt.csv_dir.c_str());
+      std::exit(2);
+    }
+  }
   if (auto apps_arg = cli.get("apps")) {
     std::stringstream ss(*apps_arg);
     std::string item;

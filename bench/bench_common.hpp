@@ -4,7 +4,8 @@
 // Every bench accepts:
 //   --scale=tiny|small|large   problem sizes (default small; any other
 //                              value exits 2)
-//   --csv=<dir>                also dump machine-readable CSV
+//   --csv=<dir>                also dump machine-readable CSV (a missing
+//                              or unwritable directory exits 2)
 //   --apps=a,b,c               restrict to a subset of the suite (an
 //                              unknown name exits 2)
 //   --jobs=N                   run up to N simulation points concurrently

@@ -207,7 +207,7 @@ int main(int argc, char** argv) {
   }
 
   // Violation counts stay off stdout (the dump must be byte-identical with
-  // the checker compiled out) but still fail the process.
+  // the checker off) but still fail the process.
   std::uint64_t violations = 0;
   for (const auto& r : runs) violations += r.result.check_violations;
   if (violations > 0) {

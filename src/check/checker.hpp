@@ -36,10 +36,8 @@
 //
 // The checker is passive: it never charges time, posts messages or touches
 // protocol state, so a checked run is byte-identical to an unchecked one
-// (tools/instrumentation_equivalence.sh proves it per build). Compile gate:
-// -DSVMSIM_CHECK=OFF defines SVMSIM_CHECK_DISABLED and every hook site
-// vanishes. Runtime gate: hooks null-check engine::Simulator::checker().
-// See docs/checking.md.
+// (tools/instrumentation_equivalence.sh proves it). Gate: hooks null-check
+// engine::Simulator::checker(). See docs/checking.md.
 #pragma once
 
 #include <cstddef>
@@ -100,8 +98,8 @@ struct Violation {
 };
 
 /// The per-run oracle. Constructed by Machine when SimConfig::check.enabled
-/// is set (and the checker is compiled in); reached by every protocol layer
-/// through engine::Simulator::checker() via the SVMSIM_CHECK_HOOK macro.
+/// is set; reached by every protocol layer through
+/// engine::Simulator::checker() via the SVMSIM_CHECK_HOOK macro.
 class Checker {
  public:
   /// Shadow metadata granularity; matches the protocol's diff granularity.
@@ -282,12 +280,11 @@ class Checker {
 
 }  // namespace svmsim::check
 
-// Hook macro: compiled out entirely under -DSVMSIM_CHECK=OFF; otherwise a
-// null check on the Simulator's checker pointer before any argument is
-// evaluated. `sim` is an engine::Simulator&, `method` a Checker member.
+// Hook macro: a null check on the Simulator's checker pointer before any
+// argument is evaluated. `sim` is an engine::Simulator&, `method` a Checker
+// member.
 //
 //   SVMSIM_CHECK_HOOK(*sim_, on_inval_notice, self_, page);
-#ifndef SVMSIM_CHECK_DISABLED
 #define SVMSIM_CHECK_HOOK(sim, method, ...)                                  \
   do {                                                                       \
     if (::svmsim::check::Checker* svmsim_ck_ = (sim).checker();              \
@@ -296,20 +293,7 @@ class Checker {
     }                                                                        \
   } while (0)
 /// True when the run's checker is active with the given fault injection
-/// selected (e.g. SVMSIM_CHECK_MUTATION_IS(*sim_, kLostDiff)). Constant
-/// false when the checker is compiled out, so mutation branches fold away.
+/// selected (e.g. SVMSIM_CHECK_MUTATION_IS(*sim_, kLostDiff)).
 #define SVMSIM_CHECK_MUTATION_IS(sim, kind)                                  \
   ((sim).checker() != nullptr &&                                             \
    (sim).checker()->mutation() == ::svmsim::check::Mutation::kind)
-#else
-namespace svmsim::check::detail {
-/// Never defined: swallows hook arguments as an unevaluated operand so OFF
-/// builds generate no code but variables still count as used.
-template <class... Ts>
-int unused_hook_args(Ts&&...);
-}  // namespace svmsim::check::detail
-#define SVMSIM_CHECK_HOOK(sim, method, ...)                  \
-  ((void)sizeof(((void)(sim),                                \
-                 ::svmsim::check::detail::unused_hook_args(__VA_ARGS__))))
-#define SVMSIM_CHECK_MUTATION_IS(sim, kind) false
-#endif

@@ -17,7 +17,7 @@ namespace svmsim::check {
 /// smoke tests): each one plants a specific protocol bug, and the suite
 /// asserts the checker catches every class. Selected via the
 /// SVMSIM_CHECK_MUTATION environment variable; only honoured when the
-/// checker is compiled in *and* enabled for the run.
+/// checker is enabled for the run.
 enum class Mutation : std::uint8_t {
   kNone = 0,
   kStaleRead,      ///< refetches of an invalidated page keep the stale bytes

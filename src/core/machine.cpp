@@ -54,19 +54,15 @@ Machine::Machine(const SimConfig& cfg)
   for (int p = 0; p < parts_; ++p) {
     sims_[static_cast<std::size_t>(p)].set_counters(&partition_counters(p));
   }
-#ifndef SVMSIM_TRACE_DISABLED
   if (cfg_.trace.enabled) {
     tracer_ = std::make_unique<trace::Tracer>(
         cfg_.trace, cfg_.comm.total_procs, cfg_.comm.node_count());
     sims_.front().set_tracer(tracer_.get());
   }
-#endif
-#ifndef SVMSIM_CHECK_DISABLED
   if (cfg_.check.enabled) {
     checker_ = std::make_unique<check::Checker>(cfg_.check, space_);
     for (auto& s : sims_) s.set_checker(checker_.get());
   }
-#endif
   for (int p = 0; p < parts_; ++p) {
     pools_.emplace_back(sims_[static_cast<std::size_t>(p)]);
   }
@@ -298,9 +294,7 @@ void Machine::finalize_stats() {
 void Machine::debug_write(svm::GlobalAddr a, const void* src,
                           std::uint64_t bytes) {
   space_.debug_write(a, src, bytes);
-#ifndef SVMSIM_CHECK_DISABLED
   if (checker_) checker_->on_debug_write(a, src, bytes);
-#endif
 }
 
 Machine::~Machine() {

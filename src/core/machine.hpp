@@ -58,12 +58,12 @@ class Machine {
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] svm::AddressSpace& space() noexcept { return space_; }
 
-  /// The run's event recorder, or nullptr when cfg.trace is disabled (or
-  /// tracing is compiled out). Also reachable as sim().tracer().
+  /// The run's event recorder, or nullptr when cfg.trace is disabled. Also
+  /// reachable as sim().tracer().
   [[nodiscard]] trace::Tracer* tracer() noexcept { return tracer_.get(); }
 
-  /// The run's consistency checker, or nullptr when cfg.check is disabled
-  /// (or checking is compiled out). Also reachable as sim().checker().
+  /// The run's consistency checker, or nullptr when cfg.check is disabled.
+  /// Also reachable as sim().checker().
   [[nodiscard]] check::Checker* checker() noexcept { return checker_.get(); }
 
   [[nodiscard]] int total_procs() const noexcept {

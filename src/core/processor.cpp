@@ -38,7 +38,6 @@ void Processor::mark_finished(Cycles t) {
 }
 
 void Processor::flush_trace_spans() {
-#ifndef SVMSIM_TRACE_DISABLED
   trace::Tracer* t = sim_->tracer();
   if (t == nullptr) return;
   if (!t->wants(trace::Category::kSched)) {
@@ -52,7 +51,6 @@ void Processor::flush_trace_spans() {
             static_cast<std::uint64_t>(i));
     trace_acc_[i] = 0;
   }
-#endif
 }
 
 engine::Task<Cycles> Processor::wait_begin() {

@@ -91,17 +91,12 @@ class Processor {
   /// here too (only while a tracer is attached) and is flushed as one
   /// kTimeSpan record per category at drain()/mark_finished(), so the
   /// per-processor per-category sums over a trace equal the Breakdown
-  /// exactly. Two extra instructions on the hot charge() path when tracing
-  /// is compiled in but off; nothing when compiled out.
+  /// exactly. Two extra instructions on the hot charge() path when no
+  /// tracer is attached.
   void trace_time(TimeCat cat, Cycles c) noexcept {
-#ifndef SVMSIM_TRACE_DISABLED
     if (sim_->tracer() != nullptr) {
       trace_acc_[static_cast<std::size_t>(cat)] += c;
     }
-#else
-    (void)cat;
-    (void)c;
-#endif
   }
   void flush_trace_spans();
 

@@ -84,7 +84,6 @@ RunResult run(Workload& w, const SimConfig& cfg, Cycles max_cycles,
     r.time = std::max(r.time, m.proc(pid).finished_at());
   }
   r.validated = w.validate(m);
-#ifndef SVMSIM_CHECK_DISABLED
   if (check::Checker* ck = m.checker()) {
     // The final barrier + drain above guarantee every interval is flushed,
     // so the end-of-run structural checks are meaningful.
@@ -92,7 +91,6 @@ RunResult run(Workload& w, const SimConfig& cfg, Cycles max_cycles,
     r.check_violations = ck->violation_count();
     if (r.check_violations > 0) {
       ck->report(w.name(), stderr);
-#ifndef SVMSIM_TRACE_DISABLED
       // Preserve the failing run's event trace for replay through
       // tools/trace2chrome (see docs/checking.md).
       if (!cfg.check.trace_path.empty()) {
@@ -103,15 +101,11 @@ RunResult run(Workload& w, const SimConfig& cfg, Cycles max_cycles,
                        cfg.check.trace_path.c_str());
         }
       }
-#endif
     }
   }
-#endif
-#ifndef SVMSIM_TRACE_DISABLED
   // Publish the trace (if one was recorded to a file): the run's final
   // Stats are embedded so the trace is self-checkable (trace::check).
   if (trace::Tracer* t = m.tracer()) t->finish(r.stats, r.time);
-#endif
   return r;
 }
 

@@ -42,7 +42,7 @@ struct RunResult {
   std::uint64_t events = 0;  ///< discrete events fired by the simulation
   bool validated = false;
   /// Consistency violations found by the shadow oracle; always 0 unless the
-  /// run had cfg.check.enabled (and the checker compiled in).
+  /// run had cfg.check.enabled.
   std::uint64_t check_violations = 0;
   /// PDES mode (cfg.par_cores > 1): conservative windows executed. Serial
   /// runs execute zero windows.

@@ -33,7 +33,7 @@ namespace svmsim::engine {
 class ChoiceHook : public WireArbiter {
  public:
   /// Called once per run after the machine is wired, with the run's
-  /// consistency checker (nullptr when checking is compiled out or off).
+  /// consistency checker (nullptr when checking is off).
   /// Gives happens-before-based pruners access to the checker's clocks.
   virtual void on_attach(check::Checker* checker) { (void)checker; }
 

@@ -141,11 +141,6 @@ std::string build_provenance() {
 #else
   s += " sanitize=off";
 #endif
-#ifdef SVMSIM_TRACE_DISABLED
-  s += " trace=compiled-out";
-#else
-  s += " trace=compiled-in";
-#endif
   return s;
 }
 

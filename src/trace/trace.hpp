@@ -13,11 +13,8 @@
 //    ObjectPool discipline), so steady-state tracing allocates O(chunks)
 //    and tracing-off runs allocate nothing: a Machine only constructs a
 //    Tracer when SimConfig::trace.enabled is set.
-//  - Compile-time gate: configure with -DSVMSIM_TRACE=OFF to define
-//    SVMSIM_TRACE_DISABLED, which compiles the recording half of every probe
-//    out. The counting half stays.
-//  - Runtime gate: the probe null-checks the Simulator's tracer pointer and
-//    the per-category mask bit before it records anything.
+//  - Gate: the probe null-checks the Simulator's tracer pointer and the
+//    per-category mask bit before it records anything.
 //  - Records never feed back into the simulation: a traced run is
 //    byte-identical to an untraced one.
 //
@@ -241,12 +238,12 @@ void write_file(const TraceFile& f, const std::string& path);
 [[nodiscard]] TraceFile read_file(const std::string& path);
 
 /// One line describing this build: git revision (when configured in),
-/// sanitize/pool flags, trace compile gate.
+/// sanitize/pool flags.
 [[nodiscard]] std::string build_provenance();
 
 /// The per-run recorder. Constructed by Machine when the run's
-/// SimConfig::trace.enabled is set (and tracing is compiled in); reached by
-/// every layer through engine::Simulator::tracer().
+/// SimConfig::trace.enabled is set; reached by every layer through
+/// engine::Simulator::tracer().
 class Tracer {
  public:
   Tracer(const Config& cfg, int procs, int nodes);
@@ -303,17 +300,9 @@ class Tracer {
 };
 
 /// The tracer a probe of `ev` should record to: `t` when it is attached and
-/// wants category_of(ev), else nullptr. Always nullptr under
-/// -DSVMSIM_TRACE=OFF, which compiles the recording half of every probe out
-/// and keeps the counting half.
+/// wants category_of(ev), else nullptr.
 [[nodiscard]] inline Tracer* recorder(Tracer* t, Event ev) noexcept {
-#ifdef SVMSIM_TRACE_DISABLED
-  (void)t;
-  (void)ev;
-  return nullptr;
-#else
   return t != nullptr && t->wants(category_of(ev)) ? t : nullptr;
-#endif
 }
 
 }  // namespace svmsim::trace

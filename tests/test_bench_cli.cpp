@@ -2,12 +2,15 @@
 // paper driver's figure table (figures.hpp): the --trace / --par-cores
 // conflict must terminate with its own exit code (kExitTracedParallel) and a
 // diagnostic naming both flags and the docs, an unknown --apps, --scale or
-// figure name and a valued --check-consistency are usage errors, a failed
-// point ends the raw-result drivers with exit 1, and every Options field
-// reaches every point of every figure. Exit codes are part of the contract — scripts branch on
-// them — so the failure paths are exercised as death/exit tests.
+// figure name, a valued --check-consistency and a --csv that names no
+// writable directory are usage errors, a failed point ends the raw-result
+// drivers with exit 1, and every Options field reaches every point of every
+// figure. Exit codes are part of the contract — scripts branch on them — so
+// the failure paths are exercised as death/exit tests.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <span>
 #include <string>
@@ -71,6 +74,24 @@ TEST(BenchCliDeathTest, ValuedCheckConsistencyExitsWithUsageCode) {
               ::testing::ExitedWithCode(2),
               "--check-consistency takes no value, got "
               "'fig05_host_overhead'");
+}
+
+TEST(BenchCliDeathTest, CsvWithoutDirectoryExitsWithUsageCode) {
+  // Rejected at parse time, before any point runs, instead of an uncaught
+  // throw when the first finished table is written.
+  EXPECT_EXIT(parse({"--csv=/nonexistent/svmsim-csv"}),
+              ::testing::ExitedWithCode(2),
+              "--csv directory '/nonexistent/svmsim-csv' does not exist");
+  const std::string file = ::testing::TempDir() + "svmsim_csv_not_a_dir";
+  { std::ofstream(file) << "x"; }
+  EXPECT_EXIT(parse({"--csv=" + file}), ::testing::ExitedWithCode(2),
+              "--csv directory");
+  std::remove(file.c_str());
+}
+
+TEST(BenchCli, ExistingCsvDirParses) {
+  const std::string dir = ::testing::TempDir();
+  EXPECT_EQ(parse({"--csv=" + dir}).csv_dir, dir);
 }
 
 TEST(BenchCli, BareCheckConsistencyParses) {

@@ -416,7 +416,6 @@ INSTANTIATE_TEST_SUITE_P(
              to_string(info.param.proto);
     });
 
-#ifndef SVMSIM_TRACE_DISABLED
 TEST(MutationSmoke, ViolationDumpsReplayableTrace) {
   ::setenv("SVMSIM_CHECK_MUTATION", "stale_read", 1);
   const std::string path =
@@ -435,7 +434,6 @@ TEST(MutationSmoke, ViolationDumpsReplayableTrace) {
   std::fclose(f);
   std::remove(path.c_str());
 }
-#endif
 
 // ---------------------------------------------------------------------------
 // Lock-id cap (Machine::kMaxLocks) regression tests

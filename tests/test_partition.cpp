@@ -405,7 +405,6 @@ TEST(PdesEquivalence, TracingRejectsParallelMode) {
   EXPECT_THROW(run(*w, cfg), std::invalid_argument);
 }
 
-#ifndef SVMSIM_CHECK_DISABLED
 TEST(PdesEquivalence, CheckedRunUnderFourPartitions) {
   // The shadow consistency checker must reach the same verdict (zero
   // violations) and the same observables when its hooks fire from four
@@ -423,7 +422,6 @@ TEST(PdesEquivalence, CheckedRunUnderFourPartitions) {
   EXPECT_EQ(par.check_violations, 0u);
   expect_equal_runs(serial, par, "checked par4");
 }
-#endif
 
 }  // namespace
 }  // namespace svmsim

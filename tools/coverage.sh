@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Line-coverage gate for the SVM protocol layer: build with
 # -DSVMSIM_COVERAGE=ON, run the tier-1 suite (the checker seed matrix
-# included; the slow nested-build equivalence tests excluded — they measure
-# other build trees, not this one), then run gcovr over src/svm/ and fail
-# below the floor. Run by the CI coverage job; usable locally whenever gcovr
-# is installed.
+# included; the script-driven equivalence and sweep tests excluded — they
+# are slow under the -O0 instrumented build), then run gcovr over src/svm/
+# and fail below the floor. Run by the CI coverage job; usable locally
+# whenever gcovr is installed.
 #
 #   tools/coverage.sh [build_dir] [floor_pct] [-- extra ctest args]
 set -euo pipefail

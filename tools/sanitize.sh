@@ -36,8 +36,7 @@ shift || true
 
 cmake -S "$repo_root" -B "$build_dir" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DSVMSIM_SANITIZE="$sanitize" \
-  -DSVMSIM_CHECK=ON
+  -DSVMSIM_SANITIZE="$sanitize"
 cmake --build "$build_dir" -j "$(nproc)"
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
