@@ -16,6 +16,10 @@ Options Options::parse(int argc, char** argv) {
   harness::Cli cli(argc, argv);
   Options opt;
   opt.prog = argc > 0 ? argv[0] : "bench";
+  exit_on_unknown_flag(cli, opt.prog.c_str(),
+                       {"scale", "csv", "apps", "jobs", "trace",
+                        "trace-categories", "check-consistency", "topology",
+                        "link-bytes-per-cycle", "wire-latency"});
   const std::string scale = cli.get_or("scale", "small");
   if (scale == "tiny") {
     opt.scale = apps::Scale::kTiny;
@@ -89,19 +93,6 @@ Options Options::parse(int argc, char** argv) {
     }
     opt.check.enabled = true;
   }
-  opt.par_cores = std::max(1, static_cast<int>(cli.get_int("par-cores", 1)));
-  if (opt.trace.enabled && opt.par_cores > 1) {
-    // Catch the conflict at the CLI instead of the Machine constructor's
-    // throw, with a distinct exit code scripts can branch on.
-    std::fprintf(stderr,
-                 "%s: --trace cannot be combined with --par-cores=%d: a "
-                 "trace is one global event stream in emission order, and "
-                 "partition workers emitting concurrently would interleave "
-                 "nondeterministically (see docs/tracing.md). Drop --trace "
-                 "or run with --par-cores=1.\n",
-                 argc > 0 ? argv[0] : "bench", opt.par_cores);
-    std::exit(kExitTracedParallel);
-  }
   if (auto t = cli.get("topology")) {
     if (auto spec = topo::Spec::parse(*t)) {
       opt.topology = *spec;
@@ -127,20 +118,23 @@ Options Options::parse(int argc, char** argv) {
                  opt.prog.c_str(), err.c_str());
     std::exit(kExitBadArch);
   }
-  // Jobs x par_cores threads run at once: when PDES mode is on, shrink the
-  // default job count so the machine is not oversubscribed. An explicit
-  // --jobs always wins.
-  long default_jobs = static_cast<long>(harness::JobPool::hardware_default());
-  if (opt.par_cores > 1) {
-    default_jobs = std::max(1L, default_jobs / opt.par_cores);
-  }
-  opt.jobs = static_cast<int>(cli.get_int("jobs", default_jobs));
+  opt.jobs = static_cast<int>(cli.get_int(
+      "jobs", static_cast<long>(harness::JobPool::hardware_default())));
   opt.jobs = std::max(1, opt.jobs);
   if (opt.jobs > 1) {
     opt.pool_ = std::make_shared<harness::JobPool>(
         static_cast<unsigned>(opt.jobs));
   }
   return opt;
+}
+
+void exit_on_unknown_flag(const harness::Cli& cli, const char* argv0,
+                          std::initializer_list<std::string_view> known) {
+  const auto name = cli.unknown(known);
+  if (!name) return;
+  std::fprintf(stderr, "%s: unknown flag '--%s'\n",
+               argv0 != nullptr ? argv0 : "bench", name->c_str());
+  std::exit(2);
 }
 
 void exit_on_failed_point(const char* argv0,
@@ -202,7 +196,6 @@ void PointBuilder::add(const std::string& app, double value,
   p.cfg.arch = opt_.arch;
   p.cfg.topology = opt_.topology;
   checked_topology(opt_.prog.c_str(), p.cfg.topology, p.cfg.comm.node_count());
-  p.cfg.par_cores = opt_.par_cores;
   p.cfg.trace = opt_.trace;
   if (opt_.trace.enabled) {
     // Each point is its own Machine/run: give each its own trace file.

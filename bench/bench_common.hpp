@@ -16,11 +16,6 @@
 //   --check-consistency        run the shadow consistency checker on every
 //                              point (exit 1 if any violation is found;
 //                              a value exits 2)
-//   --par-cores=N              run each simulation point on N partition
-//                              worker threads (PDES mode; results are
-//                              byte-identical to serial). The default job
-//                              count shrinks to hardware/N so the two levels
-//                              of parallelism do not oversubscribe.
 //   --topology=crossbar|fattree:<k>|torus:<X>x<Y>[x<Z>]
 //                              interconnect for every sweep point (default
 //                              crossbar, the paper's contention-free
@@ -32,15 +27,16 @@
 //                              fields; values ArchParams::validate()
 //                              rejects exit kExitBadArch.
 //
-// --trace combined with --par-cores>1 is rejected up front with exit code
-// kExitTracedParallel (see docs/tracing.md).
+// Any other --flag exits 2 and names it (exit_on_unknown_flag).
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -55,27 +51,23 @@
 
 namespace svmsim::bench {
 
-/// Exit code for the --trace + --par-cores>1 flag conflict, distinct from
-/// the generic bad-flag exit(2) so scripts (and the death test) can tell the
-/// two apart.
-inline constexpr int kExitTracedParallel = 3;
-
 /// Exit code for an invalid simulated cluster size (--procs):
 /// not a positive multiple of procs_per_node, or larger than
-/// kMaxTotalProcs. Distinct from the generic bad-flag exit(2) and from
-/// kExitTracedParallel so scripts (and the death tests) can branch on it.
+/// kMaxTotalProcs. Distinct from the generic bad-flag exit(2) so scripts
+/// (and the death tests) can branch on it.
 inline constexpr int kExitBadProcs = 4;
 
 /// Exit code for a malformed or unusable --topology spec: a string
 /// topo::Spec::parse rejects ("torus:0x4", "fattree:3"), or a well-formed
 /// spec that does not fit the simulated node count (a 4x4 torus under 64
-/// nodes). Distinct from exit(2)/3/4 so scripts and the death tests can
-/// branch on it.
+/// nodes). Distinct from exit(2) and kExitBadProcs so scripts and the death
+/// tests can branch on it.
 inline constexpr int kExitBadTopology = 5;
 
 /// Exit code for architecture parameters rejected by ArchParams::validate()
 /// (e.g. --link-bytes-per-cycle=0): the zero/NaN values would divide into
-/// infinite serialization times or break the PDES lookahead floor.
+/// infinite serialization times or deliveries that are not strictly in the
+/// future.
 inline constexpr int kExitBadArch = 6;
 
 /// Exit code for a rejected --replay schedule file in bench/explore: the
@@ -105,6 +97,12 @@ int checked_total_procs(const char* argv0, const char* flag, long total,
 /// point's cluster size is known.
 void checked_topology(const char* argv0, const topo::Spec& spec, int nodes);
 
+/// Exit 2 naming the first flag on the command line that is not in `known`:
+/// harness::Cli accepts any --name, so without this a stale or misspelt flag
+/// would be dropped without a word.
+void exit_on_unknown_flag(const harness::Cli& cli, const char* argv0,
+                          std::initializer_list<std::string_view> known);
+
 /// For benches that print raw results and have no failed cell: names every
 /// failed run on stderr and exits 1 when there is one, so a deadlock or a
 /// rejected config never passes as a row of zeros.
@@ -116,7 +114,6 @@ struct Options {
   std::string csv_dir;
   std::vector<std::string> app_names;
   int jobs = 1;
-  int par_cores = 1;    ///< SimConfig::par_cores for every sweep point
   /// SimConfig::topology for every sweep point (--topology=crossbar|
   /// fattree:k|torus:XxY[xZ]; default legacy). Malformed specs exit
   /// kExitBadTopology at parse time; fit against the cluster size is
@@ -148,7 +145,7 @@ struct Options {
 /// base_config(), takes the caller's edit, then every Options field that
 /// applies to a run: arch, topology (fit-checked against the point's node
 /// count, since the edit may resize the cluster; a misfit exits
-/// kExitBadTopology), par_cores, trace and check. With --trace, the i-th
+/// kExitBadTopology), trace and check. With --trace, the i-th
 /// point of an app writes <prefix>.<figure>.<app>-<i>, so two figures of one
 /// run never share a trace file.
 class PointBuilder {

@@ -1,12 +1,13 @@
-// Deterministic sweep dump for build- and mode-equivalence checking.
+// Deterministic sweep dump for build- and instrumentation-equivalence
+// checking.
 //
 // Runs one small fixed sweep per protocol (HLRC and AURC; fft, lu and
 // stress-gen@3 at tiny scale) and prints every observable of each run:
 // execution time, events fired, validation flag, uniprocessor baseline,
 // per-category time breakdown and the full protocol/communication counter
-// set. The output is bit-reproducible, so diffing it between two builds or
-// execution modes proves they fire events in the same (time, seq) order
-// everywhere these protocols exercise the engine.
+// set. The output is bit-reproducible, so diffing it between two builds, or
+// with the checker off and on, proves they fire events in the same
+// (time, seq) order everywhere these protocols exercise the engine.
 //
 // The points, in print order: every (protocol, app) at host overhead 0 and
 // 1000 first, then every (protocol, app) at the achievable point and with
@@ -22,24 +23,20 @@
 // that is what tools/instrumentation_equivalence.sh verifies — but the process
 // exits 1 if any run reports a violation.
 //
-// With --par-cores=N every run executes in PDES mode on N partition worker
-// threads; the dump must still be byte-identical to the serial one, which is
-// what tools/pdes_equivalence.sh verifies.
-//
 // With --apps=a,b,c the sweep is restricted to that comma list (any
 // apps::make_app name, including stress-gen@<seed>).
 //
 // With --procs=N every run simulates an N-processor cluster instead of the
 // paper's 16 (validated like every procs flag: exit 4 when out of range or
 // not a multiple of procs_per_node) — the large-machine arms of
-// tools/pdes_equivalence.sh, tools/sanitize.sh and tools/scale_check.sh use
-// this.
+// tools/sanitize.sh and tools/scale_check.sh use this.
 //
 // With --topology=<spec> every run uses that interconnect (src/topo/).
 // "crossbar" is the default contention-free network; fat tree / torus runs
 // append one "link" line per physical link (occupancy counters), which
-// tools/scale_check.sh holds byte-identical between serial and --par-cores
-// runs.
+// tools/scale_check.sh requires.
+//
+// Any other --flag exits 2 and names it.
 //
 // A point that fails (a deadlock, a run past the cycle limit, a failed
 // validation, a rejected config) prints no dump: the process names it on
@@ -48,7 +45,6 @@
 // Keep the format append-only: the equivalence checks compare byte-for-byte,
 // and new points go after the existing ones so an older dump stays a byte
 // prefix of a newer one.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -62,9 +58,10 @@ int main(int argc, char** argv) {
   using namespace svmsim;
 
   harness::Cli cli(argc, argv);
+  bench::exit_on_unknown_flag(cli, argc > 0 ? argv[0] : "sweep_dump",
+                              {"check-consistency", "apps", "procs",
+                               "topology"});
   const bool check = cli.has("check-consistency");
-  const int par_cores =
-      static_cast<int>(std::max(1L, cli.get_int("par-cores", 1)));
   std::vector<std::string> app_list = {"fft", "lu", "stress-gen@3"};
   if (auto apps_arg = cli.get("apps")) {
     app_list.clear();
@@ -106,7 +103,6 @@ int main(int argc, char** argv) {
     cfg.comm.protocol = proto;
     edit(cfg.comm);
     cfg.check.enabled = check;
-    cfg.par_cores = par_cores;
     points.push_back({app, cfg, value});
     labels.push_back(std::move(label));
   };
@@ -194,7 +190,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(k.update_bytes),
         static_cast<unsigned long long>(k.ni_queue_overflows));
     // Contended-topology runs only (empty otherwise): one line per physical
-    // link, so the serial-vs-parallel diff also proves link-state identity.
+    // link, so a diff of two dumps also compares link state.
     for (const auto& l : st.links()) {
       std::printf("  link%d owner=%d kind=%d grants=%llu busy=%llu "
                   "wait=%llu bytes=%llu\n",

@@ -146,7 +146,6 @@ void Checker::add(Kind k, Cycles t, NodeId n, svm::PageId page,
 
 void Checker::on_debug_write(svm::GlobalAddr a, const void* src,
                              std::uint64_t bytes) {
-  const std::lock_guard<std::mutex> g(mu_);
   const std::uint32_t pb = space_->page_bytes();
   const auto* in = static_cast<const std::byte*>(src);
   std::uint64_t done = 0;
@@ -169,7 +168,6 @@ void Checker::on_debug_write(svm::GlobalAddr a, const void* src,
 void Checker::on_read(Cycles now, NodeId n, const svm::VClock& vc,
                       svm::GlobalAddr a, const std::byte* observed,
                       std::uint64_t bytes) {
-  const std::lock_guard<std::mutex> g(mu_);
   if (bytes == 0) return;
   const std::uint32_t pb = space_->page_bytes();
   const svm::PageId p = a / pb;
@@ -204,7 +202,6 @@ void Checker::on_read(Cycles now, NodeId n, const svm::VClock& vc,
 void Checker::on_write(Cycles now, NodeId n, const svm::VClock& vc,
                        svm::GlobalAddr a, const std::byte* data,
                        std::uint64_t bytes) {
-  const std::lock_guard<std::mutex> g(mu_);
   if (bytes == 0) return;
   const std::uint32_t pb = space_->page_bytes();
   const svm::PageId p = a / pb;
@@ -237,7 +234,6 @@ void Checker::on_write(Cycles now, NodeId n, const svm::VClock& vc,
 void Checker::on_page_state(Cycles now, NodeId n, svm::PageId page,
                             svm::PageState from, svm::PageState to,
                             PageEvent ev) {
-  const std::lock_guard<std::mutex> g(mu_);
   using svm::PageState;
   ++transitions_;
   bool ok = false;
@@ -288,26 +284,22 @@ void Checker::on_page_state(Cycles now, NodeId n, svm::PageId page,
 }
 
 void Checker::on_fetch_issue(NodeId n, svm::PageId page) {
-  const std::lock_guard<std::mutex> g(mu_);
   NodePage& np = node_page(n, page);
   np.fetching = true;
   np.fetch_notices = 0;
 }
 
 void Checker::on_inval_notice(NodeId n, svm::PageId page) {
-  const std::lock_guard<std::mutex> g(mu_);
   NodePage& np = node_page(n, page);
   ++np.notices;
   if (np.fetching) ++np.fetch_notices;
 }
 
 void Checker::on_diff_create(NodeId writer, svm::PageId page) {
-  const std::lock_guard<std::mutex> g(mu_);
   ++diffs_[{writer, page}].created;
 }
 
 void Checker::on_diff_apply(Cycles now, NodeId writer, svm::PageId page) {
-  const std::lock_guard<std::mutex> g(mu_);
   LifeTrack& t = diffs_[{writer, page}];
   ++t.applied;
   if (t.applied > t.created) {
@@ -319,12 +311,10 @@ void Checker::on_diff_apply(Cycles now, NodeId writer, svm::PageId page) {
 }
 
 void Checker::on_update_emit(NodeId writer, svm::PageId page) {
-  const std::lock_guard<std::mutex> g(mu_);
   ++updates_[{writer, page}].created;
 }
 
 void Checker::on_update_apply(Cycles now, NodeId writer, svm::PageId page) {
-  const std::lock_guard<std::mutex> g(mu_);
   LifeTrack& t = updates_[{writer, page}];
   ++t.applied;
   if (t.applied > t.created) {
@@ -336,7 +326,6 @@ void Checker::on_update_apply(Cycles now, NodeId writer, svm::PageId page) {
 }
 
 void Checker::on_flush_cut(NodeId n, std::span<const svm::PageId> pages) {
-  const std::lock_guard<std::mutex> g(mu_);
   ++open_interval_[static_cast<std::size_t>(n)];
   cut_pending_[static_cast<std::size_t>(n)] = true;
   auto& closing = closing_pages_[static_cast<std::size_t>(n)];
@@ -345,7 +334,6 @@ void Checker::on_flush_cut(NodeId n, std::span<const svm::PageId> pages) {
 }
 
 void Checker::on_vclock(Cycles now, NodeId n, const svm::VClock& vc) {
-  const std::lock_guard<std::mutex> g(mu_);
   svm::VClock& last = last_vc_[static_cast<std::size_t>(n)];
   if (!vc.covers(last)) {
     add(Kind::kClockRegression, now, n, 0,
@@ -377,7 +365,6 @@ void Checker::on_vclock(Cycles now, NodeId n, const svm::VClock& vc) {
 
 void Checker::on_lock_release(Cycles now, NodeId n, int lock,
                               const svm::VClock& vc) {
-  const std::lock_guard<std::mutex> g(mu_);
   (void)now;
   (void)n;
   auto [it, inserted] = last_release_.try_emplace(lock, vc);
@@ -386,7 +373,6 @@ void Checker::on_lock_release(Cycles now, NodeId n, int lock,
 
 void Checker::on_lock_acquired(Cycles now, NodeId n, int lock,
                                const svm::VClock& vc) {
-  const std::lock_guard<std::mutex> g(mu_);
   auto it = last_release_.find(lock);
   if (it != last_release_.end() && !vc.covers(it->second)) {
     add(Kind::kLockHandoff, now, n, 0,
@@ -396,7 +382,6 @@ void Checker::on_lock_acquired(Cycles now, NodeId n, int lock,
 }
 
 void Checker::on_barrier_flush(Cycles now, NodeId n, const svm::VClock& vc) {
-  const std::lock_guard<std::mutex> g(mu_);
   (void)now;
   const std::uint64_t e = arrive_count_[static_cast<std::size_t>(n)]++;
   BarrierEpoch& ep = epoch_at(e);
@@ -405,7 +390,6 @@ void Checker::on_barrier_flush(Cycles now, NodeId n, const svm::VClock& vc) {
 }
 
 void Checker::on_barrier_exit(Cycles now, NodeId n, const svm::VClock& vc) {
-  const std::lock_guard<std::mutex> g(mu_);
   const std::uint64_t e = exit_count_[static_cast<std::size_t>(n)]++;
   BarrierEpoch& ep = epoch_at(e);
   ++ep.exited;
@@ -426,7 +410,6 @@ void Checker::on_barrier_exit(Cycles now, NodeId n, const svm::VClock& vc) {
 }
 
 void Checker::finalize(Cycles end_time) {
-  const std::lock_guard<std::mutex> g(mu_);
   if (finalized_) return;
   finalized_ = true;
   for (const auto& [key, t] : diffs_) {

@@ -19,9 +19,8 @@ namespace svmsim {
 
 class Node {
  public:
-  /// Per-processor breakdowns come from `stats` — rows are disjoint per
-  /// node, so they are safe to write from the owning partition directly.
-  /// Machine-wide counters accumulate in sim.counters() (see SVMSIM_PROBE).
+  /// Per-processor breakdowns come from `stats` (rows are disjoint per
+  /// node). Machine-wide counters accumulate in sim.counters() (see SVMSIM_PROBE).
   Node(engine::Simulator& sim, const SimConfig& cfg, NodeId id, int procs,
        ProcId first_proc, net::Network& network, Stats& stats);
 

@@ -108,9 +108,9 @@ struct ArchParams {
 
   /// Sanity-check the cache geometries (CacheParams::validate) and the
   /// divisors and latency floors the network layer relies on: every link
-  /// bandwidth must be > 0 (min_serialization and transmit() divide by it)
+  /// bandwidth must be > 0 (transmit() and each topology hop divide by it)
   /// and every wire/hop latency nonzero (delivery events must land strictly
-  /// in the future — the wire band and the PDES lookahead both require it).
+  /// in the future, as the wire band requires).
   /// Returns an empty string when valid, a diagnostic naming the offending
   /// field otherwise. The Machine constructor enforces this; benches map it
   /// to bench::kExitBadArch.
@@ -191,13 +191,10 @@ struct SimConfig {
   /// (§6): pretend every page fetch is local, i.e. remote fetches are free.
   bool disable_remote_fetches = false;
 
-  /// Worker threads for the conservative node-partitioned PDES mode
-  /// (docs/engine.md): 1 = the serial engine (default); N > 1 splits the
-  /// simulated nodes into up to N contiguous groups, each driven by its own
-  /// scheduler, synchronized in windows of the crossbar wire latency.
-  /// Results are byte-identical to the serial engine for every value.
-  /// Deliberately not part of CommParams: it changes how the simulation is
-  /// executed, never what is simulated, so describe()/sweep keys ignore it.
+  /// Inert: nothing in the simulator reads it, and every run is serial
+  /// whatever it holds. It remains only because the frozen benchmark
+  /// (perfbench/svmbench.cpp) still assigns it; it goes in the benchmark
+  /// change that drops engine.pdes_speedup / engine.pdes_windows.
   int par_cores = 1;
 
   /// Event-recorder settings (src/trace/). Never affects simulated time:

@@ -1,7 +1,6 @@
 #include "core/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 
 #include "check/checker.hpp"
@@ -13,17 +12,14 @@ namespace svmsim {
 namespace {
 
 engine::Task<void> proc_main(Workload& w, Machine& m, ProcId pid,
-                             std::atomic<int>& finished) {
+                             int& finished) {
   co_await w.body(m, pid);
   // Final global barrier: flushes every node and guarantees quiescence, so
   // validation can read home copies.
   co_await m.agent_of(pid).barrier(m.proc(pid));
   co_await m.proc(pid).drain();
-  // The processor's own clock: in PDES mode each partition has its own
-  // simulator (their clocks agree to within one lookahead window, and every
-  // processor's is exact at its own events).
-  m.proc(pid).mark_finished(m.proc(pid).sim().now());
-  finished.fetch_add(1, std::memory_order_relaxed);
+  m.proc(pid).mark_finished(m.sim().now());
+  ++finished;
 }
 
 }  // namespace
@@ -40,46 +36,35 @@ RunResult run(Workload& w, const SimConfig& cfg, Cycles max_cycles,
               engine::ChoiceHook* hook) {
   Machine m(cfg);
   if (hook != nullptr) {
-    if (m.partitions() > 1) {
-      throw std::invalid_argument(
-          "schedule exploration requires serial mode (par_cores == 1): "
-          "arbitrated schedules are alternative histories, outside the PDES "
-          "byte-identity contract");
-    }
     m.sim().set_choice_hook(hook);
     hook->on_attach(m.checker());
   }
   w.setup(m);
 
-  std::atomic<int> finished{0};
+  int finished = 0;
   const int n = m.total_procs();
-  for (ProcId pid = 0; pid < n; ++pid) {
-    // The frame must live in the registry of the partition that owns the
-    // processor: the coroutine completes (and is torn down) on that
-    // partition's thread in PDES mode.
-    engine::ScopedFrameRegistry scope(
-        m.partition_registry(m.partition_of_node(m.node_of(pid))));
-    engine::spawn(proc_main(w, m, pid, finished));
+  {
+    engine::ScopedFrameRegistry scope(m.registry());
+    for (ProcId pid = 0; pid < n; ++pid) {
+      engine::spawn(proc_main(w, m, pid, finished));
+    }
   }
-  const bool drained = m.partitions() > 1 ? m.run_parallel(max_cycles)
-                                          : m.sim().run_until(max_cycles);
-  if (!drained) {
+  if (!m.sim().run_until(max_cycles)) {
     throw std::runtime_error(w.name() + ": exceeded max simulated cycles");
   }
-  if (finished.load(std::memory_order_relaxed) != n) {
+  if (finished != n) {
     for (NodeId nd = 0; nd < m.node_count(); ++nd) {
       m.agent(nd).dump_lock_state();
     }
     throw std::runtime_error(w.name() + ": simulation deadlocked (" +
-                             std::to_string(finished.load()) + "/" +
+                             std::to_string(finished) + "/" +
                              std::to_string(n) + " processors finished)");
   }
 
   RunResult r;
   m.finalize_stats();  // per-link occupancy into stats (topology runs only)
   r.stats = m.stats();
-  r.events = m.events_fired();
-  r.windows = m.windows();
+  r.events = m.sim().queue().events_fired();
   for (ProcId pid = 0; pid < n; ++pid) {
     r.time = std::max(r.time, m.proc(pid).finished_at());
   }

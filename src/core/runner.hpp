@@ -44,8 +44,10 @@ struct RunResult {
   /// Consistency violations found by the shadow oracle; always 0 unless the
   /// run had cfg.check.enabled.
   std::uint64_t check_violations = 0;
-  /// PDES mode (cfg.par_cores > 1): conservative windows executed. Serial
-  /// runs execute zero windows.
+  /// Inert: always 0, since every run is serial. It remains only because the
+  /// frozen benchmark (perfbench/svmbench.cpp) still reads it; it goes in
+  /// the benchmark change that drops engine.pdes_speedup /
+  /// engine.pdes_windows.
   std::uint64_t windows = 0;
 
   /// Per-processor rate of `events` per million compute cycles, averaged
@@ -56,9 +58,7 @@ struct RunResult {
 /// Run `w` on a machine configured by `cfg`. Throws if the simulation
 /// deadlocks or exceeds `max_cycles`. A non-null `hook` installs a
 /// schedule-choice hook (engine/choice.hpp) on the machine's simulator —
-/// explorer mode, serial only: with cfg.par_cores > 1 the run throws
-/// std::invalid_argument (arbitrated schedules are alternative histories,
-/// which the PDES byte-identity contract cannot cover).
+/// explorer mode.
 RunResult run(Workload& w, const SimConfig& cfg,
               Cycles max_cycles = Cycles{1} << 42,
               engine::ChoiceHook* hook = nullptr);

@@ -93,7 +93,6 @@ bool PriorityResource::start(Cycles service, std::coroutine_handle<> h) {
   ++grants_;
   const Cycles occupancy = arbitration_ + service;
   busy_cycles_ += occupancy;
-  busy_until_ = sim_->now() + occupancy;
   if (occupancy == 0) {
     release();
     return false;

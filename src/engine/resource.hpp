@@ -14,7 +14,7 @@
 // resource by a same-tick event that does its grant accounting and
 // schedules its completion. These are the events, times and order of a
 // coroutine that acquires the resource, delays for its service and hands it
-// on (docs/engine.md §6). Wait lists are allocation-free in steady state:
+// on (docs/engine.md §5). Wait lists are allocation-free in steady state:
 // Resource queues waiters in a RingQueue, PriorityResource in a
 // vector-backed binary heap.
 #pragma once
@@ -68,8 +68,7 @@ class Resource {
   /// serve() grants (grant time + service), grant time for with() grants
   /// (body duration unknown). Meaningful only while busy(); a stale value
   /// from an earlier grant is still a valid lower bound for any future
-  /// completion. The adaptive PDES window uses this to bound a suspended
-  /// NIC tx pipeline's next packet launch (docs/engine.md, "PDES mode").
+  /// completion.
   [[nodiscard]] Cycles busy_until() const noexcept { return busy_until_; }
 
   /// Completion lower bound for the most recently submitted serve():
@@ -162,10 +161,6 @@ class PriorityResource {
     return waiters_.size();
   }
 
-  /// Lower bound on when the current grant's occupancy (arbitration +
-  /// service) completes; see Resource::busy_until().
-  [[nodiscard]] Cycles busy_until() const noexcept { return busy_until_; }
-
  private:
   struct Waiter {
     int priority;
@@ -191,7 +186,6 @@ class PriorityResource {
   Cycles arbitration_;
   bool busy_ = false;
   Cycles busy_cycles_ = 0;
-  Cycles busy_until_ = 0;
   std::uint64_t grants_ = 0;
   std::uint64_t next_seq_ = 0;
   std::vector<Waiter> waiters_;  // binary heap, see After

@@ -7,14 +7,10 @@
 // never touches the heap again: steady-state push/pop is index arithmetic.
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
-
-#include "engine/types.hpp"
 
 namespace svmsim::engine {
 
@@ -80,115 +76,6 @@ class RingQueue {
   std::vector<T> buf_;  // capacity is always a power of two
   std::size_t head_ = 0;
   std::size_t size_ = 0;
-};
-
-/// A timestamped single-producer/single-consumer channel: the cross-partition
-/// link of the PDES mode (docs/engine.md, "PDES mode"). The producing
-/// partition appends (when, key, item) records to an *open batch* during its
-/// window, then seals the whole batch with a single atomic ring-slot publish
-/// at the window boundary; the consuming partition splices every sealed
-/// batch into its scheduler's wire band in one call per batch.
-///
-/// Concurrency contract: one producer thread (push/seal), one consumer
-/// thread (drain). The seal/drain counters are the only shared state — a
-/// seal is one release store, a drain pass one acquire load — so batch
-/// contents cross threads without locks and each window costs one publish
-/// per (src, dst) pair instead of one per record. The window protocol bounds
-/// the in-flight depth: a batch sealed before a barrier crossing is drained
-/// right after it, and a producer can run at most one window ahead of a slow
-/// consumer, so at most two sealed batches ever coexist (kSlots = 4 leaves
-/// slack, enforced by assert).
-///
-/// Batch vectors ping-pong between the open slot and the ring: seal swaps
-/// the open vector into a slot and takes back the capacity the consumer's
-/// clear left behind, so a warmed channel never allocates.
-template <typename T>
-class TimedChannel {
- public:
-  struct Entry {
-    Cycles when = 0;
-    std::uint64_t key = 0;
-    T item{};
-  };
-  using Batch = std::vector<Entry>;
-
-  /// Producer: append a record to the open batch for delivery at `when`.
-  void push(Cycles when, std::uint64_t key, T item) {
-    if (when < open_min_) open_min_ = when;
-    open_.push_back(Entry{when, key, std::move(item)});
-  }
-
-  /// Producer: smallest timestamp in the open (unsealed) batch, kNever when
-  /// the open batch is empty.
-  [[nodiscard]] Cycles open_min() const noexcept { return open_min_; }
-  [[nodiscard]] std::size_t open_size() const noexcept { return open_.size(); }
-
-  /// Producer: publish the open batch as one sealed ring slot and start a
-  /// fresh one. Returns the smallest timestamp in the sealed batch — the
-  /// caller's in-flight lower bound for the window about to open — or kNever
-  /// when there was nothing to seal (and no slot is consumed).
-  Cycles seal() {
-    if (open_.empty()) return kNever;
-    const std::uint64_t s = sealed_.load(std::memory_order_relaxed);
-    assert(s - drained_.load(std::memory_order_acquire) < kSlots &&
-           "channel ring overflow: consumer more than a window behind");
-    const Cycles m = open_min_;
-    slots_[s % kSlots].swap(open_);  // take the drained slot's capacity back
-    open_min_ = kNever;
-    sealed_.store(s + 1, std::memory_order_release);
-    return m;
-  }
-
-  /// Consumer: take every sealed batch, oldest first. `f` is called as
-  /// f(Batch&) once per batch and must consume its entries (they are cleared
-  /// on return). Record order within and across batches is production
-  /// order; final delivery order is re-established by the scheduler's wire
-  /// band, so this is only a transport order.
-  template <typename F>
-  void drain(F&& f) {
-    std::uint64_t d = drained_.load(std::memory_order_relaxed);
-    const std::uint64_t s = sealed_.load(std::memory_order_acquire);
-    while (d != s) {
-      Batch& b = slots_[d % kSlots];
-      f(b);
-      b.clear();
-      drained_.store(++d, std::memory_order_release);
-    }
-  }
-
-  /// Sealed, undrained batch count (exact only when quiescent).
-  [[nodiscard]] std::size_t sealed_batches() const noexcept {
-    return static_cast<std::size_t>(sealed_.load(std::memory_order_acquire) -
-                                    drained_.load(std::memory_order_acquire));
-  }
-
-  /// True when nothing is open or in flight (quiescent callers only).
-  [[nodiscard]] bool empty() const noexcept {
-    return open_.empty() && sealed_batches() == 0;
-  }
-
-  /// Drop everything without delivering (teardown of a stopped run;
-  /// single-threaded).
-  void clear() {
-    open_.clear();
-    open_min_ = kNever;
-    std::uint64_t d = drained_.load(std::memory_order_relaxed);
-    const std::uint64_t s = sealed_.load(std::memory_order_relaxed);
-    while (d != s) slots_[d++ % kSlots].clear();
-    drained_.store(d, std::memory_order_relaxed);
-  }
-
- private:
-  static constexpr std::size_t kSlots = 4;
-
-  // Producer side.
-  Batch open_;
-  Cycles open_min_ = kNever;
-  // Shared ring: slots_[i] is owned by the producer from swap to seal and by
-  // the consumer from its acquire of the seal to its release of the drain.
-  Batch slots_[kSlots];
-  std::atomic<std::uint64_t> sealed_{0};
-  std::atomic<std::uint64_t> drained_{0};
 };
 
 }  // namespace svmsim::engine

@@ -34,22 +34,10 @@ class Simulator {
   [[nodiscard]] Cycles now() const noexcept { return queue_.now(); }
   [[nodiscard]] EventQueue& queue() noexcept { return queue_; }
 
-  /// Time of the earliest pending event, or kNever when idle.
-  [[nodiscard]] Cycles next_time() { return queue_.next_time(); }
-
-  /// Conservative lower bound on the earliest time an event fired here could
-  /// launch a cross-partition send (EventQueue::next_send_bound): the
-  /// head-of-queue time plus `floor` host/NI cycles, kNever when idle. The
-  /// adaptive PDES window publishes this before each barrier crossing.
-  [[nodiscard]] Cycles next_send_bound(Cycles floor) {
-    return queue_.next_send_bound(floor);
-  }
-
-  /// Where this partition's protocol events are counted: the run's Stats
-  /// counters, or the partition's staging block in PDES mode. Owned and set
-  /// by the Machine (a harness driving NICs or agents without one must set
-  /// it first); every layer reaches it through its sim_ pointer via the
-  /// SVMSIM_PROBE macro (src/trace/trace.hpp).
+  /// Where the run's protocol events are counted: its Stats counters. Owned
+  /// and set by the Machine (a harness driving NICs or agents without one
+  /// must set it first); every layer reaches it through its sim_ pointer via
+  /// the SVMSIM_PROBE macro (src/trace/trace.hpp).
   [[nodiscard]] Counters* counters() const noexcept { return counters_; }
   void set_counters(Counters* c) noexcept { counters_ = c; }
 

@@ -193,30 +193,21 @@ struct FrameNode {
 
 }  // namespace detail
 
-/// Tracks the live spawned coroutines of one simulation partition.
+/// Tracks the live spawned coroutines of one simulation (a Machine owns one,
+/// so its destructor can destroy the frames still suspended in it).
 ///
-/// Detached frames used to thread themselves on a bare thread_local list,
-/// which silently corrupted both lists when a frame spawned on one thread
-/// completed (and so unlinked itself) on another — exactly what the PDES
-/// mode does when a Machine is built on the caller's thread and run on
-/// partition worker threads. Each promise now records the registry that was
-/// current at spawn time and always unlinks from *that* registry; a debug
-/// owner-thread assert enforces that link/unlink only ever happen on the
-/// thread the registry is currently bound to, so a cross-thread release is
-/// a loud assert instead of silent list corruption
-/// (tests/test_partition.cpp has the regression).
-///
-/// Threading contract: a registry is single-threaded at any instant. Bind it
-/// to a thread with bind_to_this_thread() only at quiescent points (before a
-/// run, at window barriers, after workers join) — ownership transfers, it is
-/// never shared.
+/// Each promise records the registry that was current at spawn time and
+/// always unlinks from *that* registry. A registry is single-threaded: a
+/// debug owner-thread assert enforces that link/unlink only ever happen on
+/// the thread that created it, so a cross-thread release is a loud assert
+/// instead of silent list corruption.
 class FrameRegistry {
  public:
-  FrameRegistry() noexcept { bind_to_this_thread(); }
+  FrameRegistry() noexcept = default;
   FrameRegistry(const FrameRegistry&) = delete;
   FrameRegistry& operator=(const FrameRegistry&) = delete;
 
-  /// The per-thread default registry (serial mode and tests).
+  /// The per-thread default registry (spawns outside any Machine: tests).
   static FrameRegistry& tls() noexcept {
     thread_local FrameRegistry reg;
     return reg;
@@ -233,14 +224,6 @@ class FrameRegistry {
   static FrameRegistry& current() noexcept {
     FrameRegistry* cur = current_slot();
     return cur != nullptr ? *cur : tls();
-  }
-
-  /// Transfer ownership to the calling thread. Only legal while no other
-  /// thread can touch this registry (see the threading contract above).
-  void bind_to_this_thread() noexcept {
-#ifndef NDEBUG
-    owner_ = std::this_thread::get_id();
-#endif
   }
 
   void link(detail::FrameNode* n) noexcept {
@@ -275,7 +258,7 @@ class FrameRegistry {
  private:
   detail::FrameNode* head_ = nullptr;
 #ifndef NDEBUG
-  std::thread::id owner_{};
+  std::thread::id owner_ = std::this_thread::get_id();
 #endif
 };
 

@@ -257,7 +257,7 @@ RunOutcome Explorer::run_internal(const Schedule& forced,
   try {
     out.result = run(*app, cfg_, Cycles{1} << 42, &hook);
   } catch (const std::invalid_argument&) {
-    throw;  // configuration misuse (par_cores > 1): not a run outcome
+    throw;  // a config the Machine rejects: misuse, not a run outcome
   } catch (const std::exception& e) {
     out.error = true;
     out.error_message = e.what();

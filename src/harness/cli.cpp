@@ -1,7 +1,7 @@
 #include "harness/cli.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <string_view>
 
 namespace svmsim::harness {
 
@@ -14,6 +14,7 @@ Cli::Cli(int argc, char** argv) {
     }
     arg.remove_prefix(2);
     const auto eq = arg.find('=');
+    names_.emplace_back(arg.substr(0, eq));
     if (eq != std::string_view::npos) {
       kv_.emplace(std::string(arg.substr(0, eq)), std::string(arg.substr(eq + 1)));
     } else if (i + 1 < argc && std::string_view(argv[i + 1]).substr(0, 2) != "--") {
@@ -45,5 +46,15 @@ double Cli::get_double(const std::string& key, double def) const {
 }
 
 bool Cli::has(const std::string& key) const { return kv_.contains(key); }
+
+std::optional<std::string> Cli::unknown(
+    std::initializer_list<std::string_view> known) const {
+  for (const std::string& name : names_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return name;
+    }
+  }
+  return std::nullopt;
+}
 
 }  // namespace svmsim::harness

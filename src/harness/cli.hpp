@@ -3,8 +3,10 @@
 // Supported forms: --key=value, --key value, --flag.
 #pragma once
 
+#include <initializer_list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -20,12 +22,17 @@ class Cli {
   [[nodiscard]] long get_int(const std::string& key, long def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] bool has(const std::string& key) const;
+  /// The first flag name (in argv order) not in `known`, or nullopt when
+  /// every flag is declared. Names only: values are not checked.
+  [[nodiscard]] std::optional<std::string> unknown(
+      std::initializer_list<std::string_view> known) const;
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }
 
  private:
   std::unordered_map<std::string, std::string> kv_;
+  std::vector<std::string> names_;  ///< flag names in argv order
   std::vector<std::string> positional_;
 };
 

@@ -45,7 +45,6 @@ class MemoryBus {
   }
 
   [[nodiscard]] Cycles busy_cycles() const { return res_.busy_cycles(); }
-  [[nodiscard]] Cycles busy_until() const { return res_.busy_until(); }
   [[nodiscard]] std::uint64_t grants() const { return res_.grants(); }
 
  private:

@@ -16,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <initializer_list>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -55,24 +54,15 @@ class PageDirectory {
                                             const VClock& target) const;
 
   [[nodiscard]] std::uint32_t intervals_of(NodeId n) const {
-    auto& l = log_[static_cast<std::size_t>(n)];
-    const std::lock_guard<std::mutex> g(l.mu);
-    return static_cast<std::uint32_t>(l.ends.size());
+    return static_cast<std::uint32_t>(
+        log_[static_cast<std::size_t>(n)].ends.size());
   }
 
  private:
   /// Interval i (0-based) of a node spans pages[ends[i-1] .. ends[i]).
-  ///
-  /// The row mutex serializes node n's appends against other partitions
-  /// scanning the row (a concurrent push_back could reallocate mid-scan).
-  /// The *values* read are deterministic without it: a reader only scans up
-  /// to the interval count carried by the vclock of a message that took at
-  /// least one lookahead window to arrive, so those entries were complete
-  /// before the scan started. The lock only makes the vector growth safe.
   struct NodeLog {
     std::vector<PageId> pages;       // all intervals' pages, back to back
     std::vector<std::uint32_t> ends; // cumulative page count per interval
-    mutable std::mutex mu;           // appends vs. cross-partition scans
   };
 
   [[nodiscard]] std::uint32_t begin_of(const NodeLog& l,

@@ -1,16 +1,17 @@
 // CLI-layer tests for the shared bench option parser (bench_common) and the
-// paper driver's figure table (figures.hpp): the --trace / --par-cores
-// conflict must terminate with its own exit code (kExitTracedParallel) and a
-// diagnostic naming both flags and the docs, an unknown --apps, --scale or
-// figure name, a valued --check-consistency and a --csv that names no
-// writable directory are usage errors, a failed point ends the raw-result
-// drivers with exit 1, and every Options field reaches every point of every
-// figure. Exit codes are part of the contract — scripts branch on them — so
-// the failure paths are exercised as death/exit tests.
+// paper driver's figure table (figures.hpp): an unknown flag, an unknown
+// --apps, --scale or figure name, a valued --check-consistency and a --csv
+// that names no writable directory are usage errors, a failed point ends the
+// raw-result drivers with exit 1, and every Options field reaches every
+// point of every figure. Exit codes are part of the contract — scripts
+// branch on them — so the failure paths are exercised as death/exit tests.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <span>
 #include <string>
@@ -40,16 +41,43 @@ std::vector<harness::SweepPoint> one_point(const Options& opt) {
   return b.take();
 }
 
-TEST(BenchCliDeathTest, TracedParallelExitsWithDistinctCode) {
-  EXPECT_EXIT(parse({"--trace=/tmp/t.bin", "--par-cores=4"}),
-              ::testing::ExitedWithCode(kExitTracedParallel),
-              "--trace cannot be combined with --par-cores=4");
+/// Exit status and stderr of `binary args`, run through the shell. Only
+/// ever given arguments that fail at parse time, so nothing is simulated.
+struct Exit {
+  int code = -1;
+  std::string err;
+};
+Exit run_binary(const std::string& binary, const std::string& args) {
+  const std::string err_file = ::testing::TempDir() + "svmsim_cli_stderr";
+  const int status = std::system(
+      (binary + " " + args + " > /dev/null 2> " + err_file).c_str());
+  Exit e;
+  if (WIFEXITED(status)) e.code = WEXITSTATUS(status);
+  std::ifstream in(err_file);
+  e.err.assign(std::istreambuf_iterator<char>(in), {});
+  std::remove(err_file.c_str());
+  return e;
 }
 
-TEST(BenchCliDeathTest, TracedParallelDiagnosticPointsAtDocs) {
-  EXPECT_EXIT(parse({"--trace=/tmp/t.bin", "--par-cores=2"}),
-              ::testing::ExitedWithCode(kExitTracedParallel),
-              "docs/tracing.md");
+// A flag the binary does not declare must fail, not run as if absent: the
+// removed --par-cores would otherwise fall back to a serial run unnoticed.
+TEST(BenchCliDeathTest, UnknownFlagExitsWithUsageCode) {
+  EXPECT_EXIT(parse({"--par-cores=4"}), ::testing::ExitedWithCode(2),
+              "unknown flag '--par-cores'");
+  EXPECT_EXIT(parse({"--apps=fft", "--bogus"}), ::testing::ExitedWithCode(2),
+              "unknown flag '--bogus'");
+}
+
+TEST(BenchCli, BinariesRejectUnknownFlags) {
+  for (const char* binary : {SVMSIM_PAPER_BIN, SVMSIM_SWEEP_DUMP_BIN}) {
+    for (const char* name : {"par-cores", "bogus"}) {
+      const std::string arg = std::string("--") + name;
+      const Exit e = run_binary(binary, arg + "=4");
+      EXPECT_EQ(e.code, 2) << binary << " " << arg;
+      EXPECT_NE(e.err.find("unknown flag '" + arg + "'"), std::string::npos)
+          << binary << ": " << e.err;
+    }
+  }
 }
 
 TEST(BenchCliDeathTest, UnknownAppExitsWithUsageCode) {
@@ -157,20 +185,12 @@ TEST(BenchCli, ValidProcsPassThrough) {
             kMaxTotalProcs);
 }
 
-TEST(BenchCli, TraceAloneAndParCoresAloneAreAccepted) {
-  EXPECT_EQ(parse({"--par-cores=4"}).par_cores, 4);
+TEST(BenchCli, TraceFlagIsAccepted) {
   EXPECT_TRUE(parse({"--trace=/tmp/t.bin"}).trace.enabled);
 }
 
-TEST(BenchCli, SweepPointsCarryParCores) {
-  auto opt = parse({"--par-cores=2", "--apps=fft"});
-  auto pts = one_point(opt);
-  ASSERT_EQ(pts.size(), 1u);
-  EXPECT_EQ(pts[0].cfg.par_cores, 2);
-}
-
 // ---- --topology (src/topo/): malformed or unfitting specs must exit with
-// kExitBadTopology, distinct from 2/3/4, because the equivalence scripts
+// kExitBadTopology, distinct from 2 and kExitBadProcs, because scripts
 // branch on it. ----
 
 TEST(BenchCliDeathTest, ZeroTorusExtentExitsWithBadTopologyCode) {
@@ -256,23 +276,22 @@ TEST(BenchCli, ArchOverridesPropagateWhenValid) {
 // ---- The paper driver's figures: one point path for all of them. ----
 
 TEST(PaperFigures, EveryPointCarriesEveryOption) {
-  // Two option sets, because --trace excludes --par-cores > 1. fattree:4
-  // fits every cluster the figures build (1 to 16 nodes).
-  const Options parallel =
-      parse({"--par-cores=2", "--topology=fattree:4", "--wire-latency=50",
+  // Two option sets: a non-default fabric and architecture, and a traced
+  // run. fattree:4 fits every cluster the figures build (1 to 16 nodes).
+  const Options fabric =
+      parse({"--topology=fattree:4", "--wire-latency=50",
              "--link-bytes-per-cycle=4", "--check-consistency",
              "--apps=fft,lu"});
   const Options traced = parse({"--trace=/tmp/paper_test.bin",
                                 "--check-consistency", "--apps=fft,lu"});
   std::set<std::string> trace_paths;
   for (const Figure& f : figures()) {
-    for (const Options* opt : {&parallel, &traced}) {
+    for (const Options* opt : {&fabric, &traced}) {
       const auto pts = figure_points(f, *opt);
       EXPECT_EQ(pts.empty(), f.name == "table1_params") << f.name;
       for (const auto& p : pts) {
         EXPECT_EQ(p.cfg.arch, opt->arch) << f.name;
         EXPECT_EQ(p.cfg.topology, opt->topology) << f.name;
-        EXPECT_EQ(p.cfg.par_cores, opt->par_cores) << f.name;
         EXPECT_EQ(p.cfg.trace.enabled, opt->trace.enabled) << f.name;
         EXPECT_EQ(p.cfg.trace.mask, opt->trace.mask) << f.name;
         EXPECT_TRUE(p.cfg.check.enabled) << f.name;

@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "engine/ring_queue.hpp"
-
 namespace svmsim::engine {
 namespace {
 
@@ -141,82 +139,53 @@ TEST(EventQueue, SameTickInsertionOrderDuringInFlightStep) {
   EXPECT_EQ(q.events_fired(), 8u);
 }
 
-// ------------------------------------------------------- next_send_bound
-// The adaptive-window query (docs/engine.md §5): a conservative lower bound
-// on the earliest time an event fired from this queue could launch a
-// cross-partition send.
+// --------------------------------------------------------------- wire band
+// The wire band contract (docs/engine.md): at equal time, wire events fire
+// before every (time, seq) event, and order among themselves by key — not by
+// insertion order — so same-cycle deliveries fire in an order that depends
+// only on packet content.
 
-TEST(WireBatch, NextSendBound) {
-  {
-    // Empty queue: provably nothing can send, whatever the floor.
-    EventQueue q;
-    EXPECT_EQ(q.next_send_bound(0), kNever);
-    EXPECT_EQ(q.next_send_bound(1084), kNever);
-  }
-  {
-    // Head-of-queue + floor for (time, seq) events.
-    EventQueue q;
-    q.schedule_at(500, [] {});
-    q.schedule_at(900, [] {});
-    EXPECT_EQ(q.next_send_bound(0), 500u);
-    EXPECT_EQ(q.next_send_bound(84), 584u);
-  }
-  {
-    // A queue whose only occupancy is the wire band must still count: a
-    // drained cross-partition delivery is an event that can trigger a send.
-    EventQueue q;
-    q.schedule_wire(300, 7, [] {});
-    EXPECT_EQ(q.next_send_bound(0), 300u);
-    EXPECT_EQ(q.next_send_bound(50), 350u);
-  }
-  {
-    // The bound saturates at kNever instead of wrapping.
-    EventQueue q;
-    q.schedule_at(kNever - 10, [] {});
-    EXPECT_EQ(q.next_send_bound(0), kNever - 10);
-    EXPECT_EQ(q.next_send_bound(100), kNever);
-  }
-}
-
-// ---------------------------------------------------- schedule_wire_batch
-// The PDES drain path: a whole TimedChannel batch splices into the wire
-// band in one call and the final firing order is still (when, key) merged
-// with whatever the band already held — batching changes the transport,
-// never the delivery order.
-
-TEST(WireBatch, SplicesBatchByWhenAndKey) {
+TEST(WireBand, FiresWireBeforeSeqAndByKey) {
   EventQueue q;
   std::vector<std::string> order;
-  auto tag = [&order](const char* s) {
-    return [&order, s] { order.push_back(s); };
-  };
 
-  // Pre-existing band and seq events the batch must interleave with.
-  q.schedule_wire(10, 22, tag("wire-22"));
-  q.schedule_wire(12, 1, tag("late-1"));
-  q.schedule_at(10, tag("seq"));
-
-  TimedChannel<EventQueue::Action> ch;
-  ch.push(10, 28, tag("wire-28"));
-  ch.push(7, 99, tag("early-99"));
-  ch.push(10, 15, tag("wire-15"));
-  ch.seal();
-  ch.drain([&q](TimedChannel<EventQueue::Action>::Batch& b) {
-    q.schedule_wire_batch(b);
-  });
+  q.schedule_at(10, [&order] { order.push_back("seq-a"); });
+  // Wire events inserted in descending key order: must fire ascending.
+  q.schedule_wire(10, 30, [&order] { order.push_back("wire-30"); });
+  q.schedule_wire(10, 20, [&order] { order.push_back("wire-20"); });
+  q.schedule_wire(10, 25, [&order] { order.push_back("wire-25"); });
+  q.schedule_at(10, [&order] { order.push_back("seq-b"); });
+  q.schedule_wire(5, 99, [&order] { order.push_back("wire-early"); });
 
   q.run_until_idle();
   EXPECT_EQ(order,
-            (std::vector<std::string>{"early-99", "wire-15", "wire-22",
-                                      "wire-28", "seq", "late-1"}));
+            (std::vector<std::string>{"wire-early", "wire-20", "wire-25",
+                                      "wire-30", "seq-a", "seq-b"}));
   EXPECT_EQ(q.events_fired(), 6u);
+  EXPECT_EQ(q.now(), 10u);
 }
 
-TEST(WireBatch, EmptyBatchIsANoOp) {
+TEST(WireBand, NextTimeSeesWire) {
   EventQueue q;
-  std::vector<TimedChannel<EventQueue::Action>::Entry> batch;
-  q.schedule_wire_batch(batch);
+  int fired = 0;
+  q.schedule_wire(7, 1, [&fired] { ++fired; });
+  EXPECT_EQ(q.pending(), 1u);
+  EXPECT_EQ(q.next_time(), 7u);
+  // A deadline before the wire event leaves it pending.
+  EXPECT_FALSE(q.run_until(6));
+  EXPECT_EQ(fired, 0);
+  EXPECT_TRUE(q.run_until(7));
+  EXPECT_EQ(fired, 1);
   EXPECT_TRUE(q.empty());
+}
+
+TEST(WireBand, ClearDropsWireEvents) {
+  EventQueue q;
+  q.schedule_wire(5, 1, [] { FAIL() << "cleared event fired"; });
+  q.schedule_at(5, [] { FAIL() << "cleared event fired"; });
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  q.run_until_idle();
 }
 
 #ifndef NDEBUG

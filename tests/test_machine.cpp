@@ -93,6 +93,24 @@ TEST(Machine, ProcessorNodeMapping) {
   EXPECT_EQ(m.proc(5).node(), 1);
 }
 
+// SimConfig::par_cores and RunResult::windows outlive the parallel engine
+// only because the frozen benchmark still assigns and reads them: setting
+// par_cores must change nothing, and windows must read 0.
+TEST(Machine, ParCoresFieldIsInert) {
+  SimConfig cfg;
+  cfg.comm = CommParams::achievable();
+  auto a1 = apps::make_app("fft", apps::Scale::kTiny);
+  const RunResult serial = svmsim::run(*a1, cfg);
+  cfg.par_cores = 4;
+  auto a2 = apps::make_app("fft", apps::Scale::kTiny);
+  const RunResult r = svmsim::run(*a2, cfg);
+  ASSERT_TRUE(r.validated);
+  EXPECT_EQ(r.time, serial.time);
+  EXPECT_EQ(r.events, serial.events);
+  EXPECT_TRUE(r.stats == serial.stats);
+  EXPECT_EQ(r.windows, 0u);
+}
+
 TEST(Stats, BreakdownSumsMatchExecutionTime) {
   // Per-processor breakdown buckets must account for (approximately) the
   // whole execution time: the books have to balance.

@@ -1,13 +1,8 @@
-// RingQueue / TimedChannel unit tests: wrap-around, growth boundaries,
-// move-only payloads, and the batched SPSC contract the PDES channels rely
-// on (seal publishes a whole window's records with one atomic store, drain
-// consumes sealed batches oldest-first in production order, and the only
-// cross-thread synchronization is the channel's own seal/drain counters).
+// RingQueue unit tests: wrap-around, growth boundaries and move-only
+// payloads.
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "engine/ring_queue.hpp"
@@ -143,190 +138,6 @@ TEST(RingQueue, ClearResetsToEmpty) {
   EXPECT_TRUE(q.empty());
   q.push_back(std::make_unique<int>(42));
   EXPECT_EQ(*q.front(), 42);
-}
-
-TEST(TimedChannel, EmptyChannelReportsNever) {
-  TimedChannel<int> ch;
-  EXPECT_TRUE(ch.empty());
-  EXPECT_EQ(ch.open_min(), kNever);
-  EXPECT_EQ(ch.open_size(), 0u);
-  EXPECT_EQ(ch.sealed_batches(), 0u);
-}
-
-TEST(TimedChannel, OpenMinTracksSmallestTimestamp) {
-  TimedChannel<int> ch;
-  ch.push(500, 1, 0);
-  EXPECT_EQ(ch.open_min(), 500u);
-  ch.push(900, 2, 1);
-  EXPECT_EQ(ch.open_min(), 500u);
-  ch.push(300, 3, 2);
-  EXPECT_EQ(ch.open_min(), 300u);
-  // Seal reports the batch minimum and resets the open tracker.
-  EXPECT_EQ(ch.seal(), 300u);
-  EXPECT_EQ(ch.open_min(), kNever);
-  EXPECT_EQ(ch.open_size(), 0u);
-  EXPECT_EQ(ch.sealed_batches(), 1u);
-  ch.drain([](TimedChannel<int>::Batch&) {});
-  EXPECT_TRUE(ch.empty());
-}
-
-TEST(TimedChannel, EmptySealConsumesNoSlot) {
-  // Publish hooks seal every window, traffic or not: a sealless window must
-  // not eat ring slots (there are only kSlots of them).
-  TimedChannel<int> ch;
-  for (int i = 0; i < 1000; ++i) EXPECT_EQ(ch.seal(), kNever);
-  EXPECT_EQ(ch.sealed_batches(), 0u);
-  ch.push(42, 0, 42);
-  EXPECT_EQ(ch.seal(), 42u);
-  int got = 0;
-  ch.drain([&got](TimedChannel<int>::Batch& b) {
-    ASSERT_EQ(b.size(), 1u);
-    got = b[0].item;
-  });
-  EXPECT_EQ(got, 42);
-}
-
-TEST(TimedChannel, DrainDeliversBatchInProductionOrder) {
-  TimedChannel<std::string> ch;
-  ch.push(10, 7, "a");
-  ch.push(5, 9, "b");  // earlier timestamp, later production: still second
-  ch.push(10, 1, "c");
-  EXPECT_EQ(ch.seal(), 5u);
-
-  std::vector<std::string> got;
-  std::vector<Cycles> whens;
-  std::vector<std::uint64_t> keys;
-  std::size_t batches = 0;
-  ch.drain([&](TimedChannel<std::string>::Batch& b) {
-    ++batches;
-    for (auto& e : b) {
-      whens.push_back(e.when);
-      keys.push_back(e.key);
-      got.push_back(std::move(e.item));
-    }
-  });
-  EXPECT_EQ(batches, 1u);
-  EXPECT_EQ(got, (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(whens, (std::vector<Cycles>{10, 5, 10}));
-  EXPECT_EQ(keys, (std::vector<std::uint64_t>{7, 9, 1}));
-  EXPECT_TRUE(ch.empty());
-}
-
-TEST(TimedChannel, MultipleSealedBatchesDrainOldestFirst) {
-  // A producer may run up to kSlots windows ahead of the consumer; the
-  // consumer must then see whole batches, oldest first, order preserved
-  // within and across them.
-  TimedChannel<int> ch;
-  int next = 0;
-  for (int w = 0; w < 4; ++w) {
-    for (int i = 0; i < 3 + w; ++i) {
-      ch.push(static_cast<Cycles>(100 * w + i), 0, next++);
-    }
-    EXPECT_EQ(ch.seal(), static_cast<Cycles>(100 * w));
-  }
-  EXPECT_EQ(ch.sealed_batches(), 4u);
-
-  std::vector<std::size_t> batch_sizes;
-  int expect = 0;
-  ch.drain([&](TimedChannel<int>::Batch& b) {
-    batch_sizes.push_back(b.size());
-    for (const auto& e : b) EXPECT_EQ(e.item, expect++);
-  });
-  EXPECT_EQ(batch_sizes, (std::vector<std::size_t>{3, 4, 5, 6}));
-  EXPECT_EQ(expect, next);
-  EXPECT_TRUE(ch.empty());
-}
-
-TEST(TimedChannel, MoveOnlyItemsSurviveSealAndDrain) {
-  TimedChannel<std::unique_ptr<int>> ch;
-  for (int i = 0; i < 16; ++i) {
-    ch.push(static_cast<Cycles>(100 + i), static_cast<std::uint64_t>(i),
-            std::make_unique<int>(i));
-  }
-  EXPECT_EQ(ch.seal(), 100u);
-  int expect = 0;
-  ch.drain([&](TimedChannel<std::unique_ptr<int>>::Batch& b) {
-    for (auto& e : b) {
-      ASSERT_NE(e.item, nullptr);
-      EXPECT_EQ(*e.item, expect++);
-    }
-  });
-  EXPECT_EQ(expect, 16);
-}
-
-TEST(TimedChannel, ConcurrentProducerConsumerKeepsOrder) {
-  // The real PDES shape: the producer pushes and seals window batches while
-  // the consumer concurrently drains, with nothing but the channel's own
-  // seal/drain counters synchronizing the two threads. (Under TSan this is
-  // the test that would catch a publication race.) The producer applies the
-  // same backpressure the window barrier provides: it never runs more than
-  // two sealed batches ahead.
-  constexpr int kWindows = 500;
-  constexpr int kPerWindow = 20;
-  TimedChannel<int> ch;
-
-  std::thread producer([&ch] {
-    int next = 0;
-    for (int w = 0; w < kWindows; ++w) {
-      for (int i = 0; i < kPerWindow; ++i) {
-        ch.push(static_cast<Cycles>(1000 + w), static_cast<std::uint64_t>(i),
-                next++);
-      }
-      while (ch.sealed_batches() >= 2) std::this_thread::yield();
-      ch.seal();
-    }
-  });
-
-  std::vector<int> got;
-  got.reserve(kWindows * kPerWindow);
-  while (got.size() < static_cast<std::size_t>(kWindows * kPerWindow)) {
-    ch.drain([&got](TimedChannel<int>::Batch& b) {
-      for (const auto& e : b) got.push_back(e.item);
-    });
-  }
-  producer.join();
-
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kWindows * kPerWindow));
-  for (int i = 0; i < kWindows * kPerWindow; ++i) {
-    ASSERT_EQ(got[static_cast<std::size_t>(i)], i);
-  }
-  EXPECT_TRUE(ch.empty());
-}
-
-TEST(TimedChannel, ReusableAcrossWindows) {
-  // Window N produces and seals, window N+1 drains, repeat — open_min must
-  // reset every window and the batch vectors must ping-pong (seal takes the
-  // drained slot's capacity back), not regrow forever.
-  TimedChannel<int> ch;
-  for (int w = 0; w < 50; ++w) {
-    for (int i = 0; i < 9; ++i) {
-      ch.push(static_cast<Cycles>(w * 100 + i), 0, w * 100 + i);
-    }
-    EXPECT_EQ(ch.open_min(), static_cast<Cycles>(w * 100));
-    EXPECT_EQ(ch.seal(), static_cast<Cycles>(w * 100));
-    int expect = w * 100;
-    ch.drain([&](TimedChannel<int>::Batch& b) {
-      for (const auto& e : b) EXPECT_EQ(e.item, expect++);
-    });
-    EXPECT_TRUE(ch.empty());
-    EXPECT_EQ(ch.open_min(), kNever);
-  }
-}
-
-TEST(TimedChannel, ClearDropsOpenAndSealed) {
-  TimedChannel<int> ch;
-  ch.push(10, 0, 1);
-  ch.seal();
-  ch.push(20, 0, 2);  // left open
-  ch.clear();
-  EXPECT_TRUE(ch.empty());
-  EXPECT_EQ(ch.open_min(), kNever);
-  // Still usable after the wipe.
-  ch.push(30, 0, 3);
-  EXPECT_EQ(ch.seal(), 30u);
-  int got = 0;
-  ch.drain([&got](TimedChannel<int>::Batch& b) { got = b.at(0).item; });
-  EXPECT_EQ(got, 3);
 }
 
 }  // namespace

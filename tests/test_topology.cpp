@@ -1,9 +1,8 @@
 // Properties of the pluggable interconnect layer (src/topo/, see
-// docs/topology.md): spec parsing, the analytic min-latency lookahead
-// floor, route determinism and shape (torus hop counts are exactly the
-// wraparound Manhattan distance; fat-tree paths go up*-then-down* and never
-// repeat a link), and end-to-end serial-vs-PDES identity of a contended run
-// including the per-link occupancy rows in Stats.
+// docs/topology.md): spec parsing, route determinism and shape (torus hop
+// counts are exactly the wraparound Manhattan distance; fat-tree paths go
+// up*-then-down* and never repeat a link), and the per-link occupancy rows
+// a contended run reports in Stats.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -97,35 +96,13 @@ TEST(TopoSpec, FitsChecksCapacityAndExactProduct) {
 std::unique_ptr<topo::Topology> make(const char* spec, int nodes,
                                      engine::Simulator& sim,
                                      const ArchParams& arch = ArchParams{}) {
-  return topo::make_topology(*Spec::parse(spec), arch, nodes,
-                             [&sim](NodeId) -> engine::Simulator& {
-                               return sim;
-                             });
+  return topo::make_topology(*Spec::parse(spec), arch, sim, nodes);
 }
-
-// ---- min_latency: the PDES lookahead floor ------------------------------
 
 TEST(TopoBackend, ContentionFreeNetworkHasNone) {
   // The crossbar is the network with no backend installed.
   engine::Simulator sim;
   EXPECT_EQ(make("crossbar", 4, sim), nullptr);
-}
-
-TEST(TopoMinLatency, ContendedFloorIsCheapestHopClass) {
-  engine::Simulator sim;
-  const ArchParams arch;
-  // Cheapest hop: an intra-node inject/eject link — latency plus the
-  // header's serialization at that class's bandwidth (20 + 32/2.0 = 36
-  // with the defaults). Inter-node links are strictly costlier.
-  const Cycles want =
-      arch.intra_hop_latency_cycles +
-      static_cast<Cycles>(static_cast<double>(arch.packet_header_bytes) /
-                          arch.intra_link_bytes_per_cycle);
-  for (const char* spec : {"fattree:4", "torus:4x4"}) {
-    const auto t = make(spec, 16, sim);
-    EXPECT_EQ(t->min_latency(), want) << spec;
-    EXPECT_GE(t->min_latency(), 1u) << spec;
-  }
 }
 
 // ---- Route properties ---------------------------------------------------
@@ -233,24 +210,6 @@ TEST(TopoMachine, RejectsUnfittingTopology) {
 }
 
 // ---- End-to-end runs ----------------------------------------------------
-
-TEST(TopoRun, ContendedSerialAndParallelStatsIdentical) {
-  SimConfig cfg;
-  cfg.topology = *Spec::parse("torus:2x2");
-  auto w1 = apps::make_app("fft", apps::Scale::kTiny);
-  const RunResult serial = run(*w1, cfg);
-
-  cfg.par_cores = 2;
-  auto w2 = apps::make_app("fft", apps::Scale::kTiny);
-  const RunResult par = run(*w2, cfg);
-
-  ASSERT_TRUE(serial.validated);
-  ASSERT_TRUE(par.validated);
-  EXPECT_EQ(serial.time, par.time);
-  // Stats::operator== covers the per-link rows, so this is the in-process
-  // form of the tools/scale_check.sh serial-vs-PDES byte-diff.
-  EXPECT_TRUE(serial.stats == par.stats);
-}
 
 TEST(TopoRun, ContendedRunReportsPerLinkOccupancy) {
   SimConfig cfg;

@@ -10,11 +10,11 @@
 #   pooled protocol hot path surface as real heap-use-after-free reports
 #   instead of being masked by recycling.
 #
-# * thread — TSan over the parallel-mode subset: the tests that spawn real
-#   threads (PDES partitions, job pools, cross-thread channels) plus a
-#   sweep_dump --par-cores=4 run, i.e. the race-detector pass the PDES mode
-#   makes mandatory. The serial tests add nothing under TSan and triple the
-#   wall time, so they are skipped.
+# * thread — TSan over the sweep-pool subset: the JobPool and sweep tests
+#   (whole simulations on worker threads, one Machine per worker), the
+#   Machine and PageDirectory tests, and a paper --jobs=4 run. A Machine is
+#   single-threaded, so the rest adds nothing under TSan and triples the
+#   wall time; it is skipped.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -51,28 +51,17 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 ulimit -s 1048576 2>/dev/null || ulimit -s unlimited 2>/dev/null || true
 
 if [ "$mode" = "thread" ]; then
-  # The threaded subset: PDES partitioning and channels, the --jobs pool
-  # and the sweep batch that fans out on it, the machine/runner teardown
-  # paths they stress, and the PageDirectory 256-node
-  # growth-under-concurrent-scans test (docs/scaling.md).
+  # The sweep-pool subset: the --jobs pool and the sweep batch that fans
+  # out on it, and the machine/runner and page-directory paths every
+  # worker's Machine runs.
   ctest --test-dir "$build_dir" --output-on-failure \
-    -R 'test_(partition|ring_queue|job_pool|determinism|machine|page_directory|harness)' \
+    -R 'test_(job_pool|determinism|harness|machine|page_directory)' \
     "$@"
   # The paper driver's one batch on four jobs: duplicate slots are copied
   # from their first run after the fan-out, and failed slots are written by
   # the worker that caught the exception.
   "$build_dir/bench/paper" --scale=tiny --jobs=4 --apps=fft,lu > /dev/null
-  # Whole-binary PDES pass: every sweep point on 4 partition workers, with
-  # the checker's cross-thread hooks enabled (exit 1 on any violation) — the
-  # combining barrier and the batched channels must be race-free.
-  "$build_dir/bench/sweep_dump" --par-cores=4 --check-consistency > /dev/null
-  # Large-machine stress point: the sparse clock transport's pooled delta
-  # bodies cross partition threads at 64 nodes here, not just at the
-  # paper's 4 — encode/expand and the edge caches must be race-free too.
-  "$build_dir/bench/sweep_dump" --apps=stress-gen@3 --procs=256 \
-    --par-cores=4 > /dev/null
-  echo "sanitize.sh: TSan arm passed (subset + sweep_dump --par-cores=4" \
-    "+ 256-proc stress point)"
+  echo "sanitize.sh: TSan arm passed (sweep-pool subset + paper --jobs=4)"
 else
   ctest --test-dir "$build_dir" --output-on-failure "$@"
   # Large-machine stress point under ASan/UBSan with paranoid pools: every
