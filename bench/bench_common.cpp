@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -12,28 +11,52 @@
 
 namespace svmsim::bench {
 
-Options Options::parse(int argc, char** argv) {
-  harness::Cli cli(argc, argv);
-  Options opt;
-  opt.prog = argc > 0 ? argv[0] : "bench";
-  exit_on_unknown_flag(cli, opt.prog.c_str(),
-                       {"scale", "csv", "apps", "jobs", "trace",
-                        "trace-categories", "check-consistency", "topology",
-                        "link-bytes-per-cycle", "wire-latency"});
-  const std::string scale = cli.get_or("scale", "small");
-  if (scale == "tiny") {
-    opt.scale = apps::Scale::kTiny;
-  } else if (scale == "small") {
-    opt.scale = apps::Scale::kSmall;
-  } else if (scale == "large") {
-    opt.scale = apps::Scale::kLarge;
-  } else {
-    std::fprintf(stderr,
-                 "%s: unknown --scale value '%s' (expected tiny, small or "
-                 "large)\n",
-                 opt.prog.c_str(), scale.c_str());
-    std::exit(2);
+std::vector<std::string> read_apps(const harness::Cli& cli,
+                                   std::vector<std::string> def) {
+  const auto apps_arg = cli.get("apps");
+  if (!apps_arg) return def;
+  std::vector<std::string> names;
+  std::stringstream ss(*apps_arg);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (item.empty()) continue;
+    // The registry is the one list of names: an unknown one is a usage
+    // error here, not an uncaught throw from the first sweep point.
+    try {
+      (void)apps::make_app(item, apps::Scale::kTiny);
+    } catch (const std::invalid_argument&) {
+      cli.fail("unknown --apps value '" + item + "'");
+    }
+    names.push_back(item);
   }
+  return names;
+}
+
+topo::Spec read_topology(const harness::Cli& cli) {
+  const auto t = cli.get("topology");
+  if (!t) return {};
+  if (auto spec = topo::Spec::parse(*t)) return *spec;
+  std::fprintf(stderr,
+               "%s: unknown --topology value '%s' (expected legacy, "
+               "crossbar, fattree:<even k in [2,64]>, or "
+               "torus:<X>x<Y>[x<Z>] with positive dimensions)\n",
+               cli.prog().c_str(), t->c_str());
+  std::exit(kExitBadTopology);
+}
+
+Options Options::parse(int argc, char** argv) {
+  using Kind = harness::Cli::Kind;
+  static constexpr harness::Cli::Flag kFlags[] = {
+      {"scale", Kind::kString}, {"csv", Kind::kString}, {"apps", Kind::kString},
+      {"jobs", Kind::kInt, 1, harness::JobPool::kMaxWorkers},
+      {"trace", Kind::kString}, {"trace-categories", Kind::kString},
+      {"check-consistency", Kind::kBool}, {"topology", Kind::kString},
+      {"link-bytes-per-cycle", Kind::kDouble}, {"wire-latency", Kind::kInt, 0}};
+  const harness::Cli cli(argc, argv, kFlags);
+  Options opt;
+  opt.prog = cli.prog();
+  opt.names = cli.positional();
+  opt.scale = cli.get_enum("scale", apps::kScaleNames, apps::Scale::kSmall);
   opt.csv_dir = cli.get_or("csv", "");
   if (!opt.csv_dir.empty()) {
     // Checked before any point runs: a missing directory would otherwise
@@ -41,70 +64,23 @@ Options Options::parse(int argc, char** argv) {
     std::error_code ec;
     if (!std::filesystem::is_directory(opt.csv_dir, ec) ||
         ::access(opt.csv_dir.c_str(), W_OK) != 0) {
-      std::fprintf(stderr,
-                   "%s: --csv directory '%s' does not exist or is not "
-                   "writable\n",
-                   opt.prog.c_str(), opt.csv_dir.c_str());
-      std::exit(2);
+      cli.fail("--csv directory '" + opt.csv_dir +
+               "' does not exist or is not writable");
     }
   }
-  if (auto apps_arg = cli.get("apps")) {
-    std::stringstream ss(*apps_arg);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (item.empty()) continue;
-      // The registry is the one list of names: an unknown one is a usage
-      // error here, not an uncaught throw from the first sweep point.
-      try {
-        (void)apps::make_app(item, apps::Scale::kTiny);
-      } catch (const std::invalid_argument&) {
-        std::fprintf(stderr, "%s: unknown --apps value '%s'\n",
-                     opt.prog.c_str(), item.c_str());
-        std::exit(2);
-      }
-      opt.app_names.push_back(item);
-    }
-  } else {
-    opt.app_names = apps::suite();
-  }
+  opt.app_names = read_apps(cli, apps::suite());
   opt.trace.path = cli.get_or("trace", "");
   opt.trace.enabled = !opt.trace.path.empty();
   if (auto cats = cli.get("trace-categories")) {
     if (auto mask = trace::parse_mask(*cats)) {
       opt.trace.mask = *mask;
     } else {
-      std::fprintf(stderr,
-                   "unknown --trace-categories value '%s' "
-                   "(expected a comma list of page,lock,net,irq,sched)\n",
-                   cats->c_str());
-      std::exit(2);
+      cli.fail("unknown --trace-categories value '" + *cats +
+               "' (expected a comma list of page,lock,net,irq,sched)");
     }
   }
-  if (auto c = cli.get("check-consistency")) {
-    // A bare flag reads as "1"; anything else is a word the parser took as
-    // its value (`paper --check-consistency fig05_host_overhead`), which
-    // would otherwise be dropped without a word.
-    if (*c != "1") {
-      std::fprintf(stderr,
-                   "%s: --check-consistency takes no value, got '%s' (put "
-                   "names before the flags)\n",
-                   opt.prog.c_str(), c->c_str());
-      std::exit(2);
-    }
-    opt.check.enabled = true;
-  }
-  if (auto t = cli.get("topology")) {
-    if (auto spec = topo::Spec::parse(*t)) {
-      opt.topology = *spec;
-    } else {
-      std::fprintf(stderr,
-                   "%s: unknown --topology value '%s' (expected legacy, "
-                   "crossbar, fattree:<even k in [2,64]>, or "
-                   "torus:<X>x<Y>[x<Z>] with positive dimensions)\n",
-                   opt.prog.c_str(), t->c_str());
-      std::exit(kExitBadTopology);
-    }
-  }
+  opt.check.enabled = cli.has("check-consistency");
+  opt.topology = read_topology(cli);
   // Architecture overrides are validated here, at parse time, with the same
   // check the Machine constructor applies — the bench exits kExitBadArch
   // instead of dying on the constructor's throw mid-sweep.
@@ -120,21 +96,11 @@ Options Options::parse(int argc, char** argv) {
   }
   opt.jobs = static_cast<int>(cli.get_int(
       "jobs", static_cast<long>(harness::JobPool::hardware_default())));
-  opt.jobs = std::max(1, opt.jobs);
   if (opt.jobs > 1) {
     opt.pool_ = std::make_shared<harness::JobPool>(
         static_cast<unsigned>(opt.jobs));
   }
   return opt;
-}
-
-void exit_on_unknown_flag(const harness::Cli& cli, const char* argv0,
-                          std::initializer_list<std::string_view> known) {
-  const auto name = cli.unknown(known);
-  if (!name) return;
-  std::fprintf(stderr, "%s: unknown flag '--%s'\n",
-               argv0 != nullptr ? argv0 : "bench", name->c_str());
-  std::exit(2);
 }
 
 void exit_on_failed_point(const char* argv0,

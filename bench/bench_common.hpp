@@ -1,21 +1,21 @@
-// Shared infrastructure for the bench executables: the option parser every
-// bench uses and the one builder of simulation points (PointBuilder).
+// Shared infrastructure for the bench executables: paper's option parser
+// (Options), the --apps and --topology readers it shares with sweep_dump, and
+// the one builder of simulation points (PointBuilder).
 //
-// Every bench accepts:
-//   --scale=tiny|small|large   problem sizes (default small; any other
-//                              value exits 2)
+// Options::parse accepts:
+//   --scale=tiny|small|large   problem sizes (default small)
 //   --csv=<dir>                also dump machine-readable CSV (a missing
 //                              or unwritable directory exits 2)
 //   --apps=a,b,c               restrict to a subset of the suite (an
 //                              unknown name exits 2)
 //   --jobs=N                   run up to N simulation points concurrently
-//                              (default: hardware concurrency; 1 = serial)
+//                              (1..256; default: hardware concurrency;
+//                              1 = serial)
 //   --trace=<file>             record a binary event trace per sweep point
 //                              (each point writes <file>.<figure>.<app>-<i>)
 //   --trace-categories=a,b     restrict tracing to page,lock,net,irq,sched
 //   --check-consistency        run the shadow consistency checker on every
-//                              point (exit 1 if any violation is found;
-//                              a value exits 2)
+//                              point (exit 1 if any violation is found)
 //   --topology=crossbar|fattree:<k>|torus:<X>x<Y>[x<Z>]
 //                              interconnect for every sweep point (default
 //                              crossbar, the paper's contention-free
@@ -27,16 +27,18 @@
 //                              fields; values ArchParams::validate()
 //                              rejects exit kExitBadArch.
 //
-// Any other --flag exits 2 and names it (exit_on_unknown_flag).
+// harness::Cli parses them against Options::parse's flag table: an
+// undeclared or repeated flag, a value on --check-consistency and a number
+// that does not parse in full exit 2 naming the flag, as does an unknown
+// --scale, --apps or --trace-categories value. Non-flag words are the
+// figure names (Options::names), before or after the flags.
 #pragma once
 
 #include <functional>
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <span>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -97,11 +99,14 @@ int checked_total_procs(const char* argv0, const char* flag, long total,
 /// point's cluster size is known.
 void checked_topology(const char* argv0, const topo::Spec& spec, int nodes);
 
-/// Exit 2 naming the first flag on the command line that is not in `known`:
-/// harness::Cli accepts any --name, so without this a stale or misspelt flag
-/// would be dropped without a word.
-void exit_on_unknown_flag(const harness::Cli& cli, const char* argv0,
-                          std::initializer_list<std::string_view> known);
+/// --apps as a comma list of apps::make_app names, or `def` when absent.
+/// An unknown name exits 2.
+[[nodiscard]] std::vector<std::string> read_apps(const harness::Cli& cli,
+                                                 std::vector<std::string> def);
+
+/// --topology as a topo::Spec, or the crossbar when absent. A malformed
+/// spec exits kExitBadTopology.
+[[nodiscard]] topo::Spec read_topology(const harness::Cli& cli);
 
 /// For benches that print raw results and have no failed cell: names every
 /// failed run on stderr and exits 1 when there is one, so a deadlock or a
@@ -112,6 +117,8 @@ void exit_on_failed_point(const char* argv0,
 struct Options {
   apps::Scale scale = apps::Scale::kSmall;
   std::string csv_dir;
+  /// The non-flag words: paper's figure names.
+  std::vector<std::string> names;
   std::vector<std::string> app_names;
   int jobs = 1;
   /// SimConfig::topology for every sweep point (--topology=crossbar|

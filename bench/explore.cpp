@@ -16,7 +16,8 @@
 //                         fingerprint) exit kExitBadSchedule with a
 //                         diagnostic naming the reason.
 //
-// Flags (beyond the shared ones):
+// Flags (harness::Cli: an undeclared or repeated flag, an unknown spelling
+// and a number that does not parse in full or is out of range exit 2):
 //   --app=<name>            default stress-micro@1
 //   --procs=N --ppn=N       cluster size (default 2 nodes x 1 proc)
 //   --protocol=hlrc|aurc    default hlrc
@@ -32,6 +33,8 @@
 //   --expect-violations=N   exit 1 unless exactly N violating runs were seen
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "explore/explorer.hpp"
@@ -41,47 +44,46 @@ namespace {
 
 using namespace svmsim;
 
-int fail_usage(const char* argv0, const std::string& msg) {
-  std::fprintf(stderr, "%s: %s\n", argv0, msg.c_str());
-  return 2;
-}
+constexpr std::pair<std::string_view, InterruptScheme> kInterruptNames[] = {
+    {"fixed", InterruptScheme::kFixedProcessor},
+    {"round-robin", InterruptScheme::kRoundRobin},
+    {"polling", InterruptScheme::kPolling}};
+
+constexpr std::pair<std::string_view, explore::Branching> kModeNames[] = {
+    {"full", explore::Branching::kFull},
+    {"dependent", explore::Branching::kDependent}};
+
+using Kind = harness::Cli::Kind;
+constexpr harness::Cli::Flag kFlags[] = {
+    {"app", Kind::kString}, {"procs", Kind::kInt}, {"ppn", Kind::kInt, 1},
+    {"protocol", Kind::kString}, {"interrupt", Kind::kString},
+    {"page-bytes", Kind::kInt, 1}, {"wire-latency", Kind::kInt, 1},
+    {"mode", Kind::kString}, {"no-hb-prune", Kind::kBool},
+    {"no-irq-choices", Kind::kBool}, {"max-states", Kind::kInt, 0},
+    {"stop-on-violation", Kind::kBool}, {"save-violation", Kind::kString},
+    {"expect-states", Kind::kInt, 0}, {"expect-violations", Kind::kInt, 0},
+    {"record", Kind::kString}, {"replay", Kind::kString}};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* argv0 = argc > 0 ? argv[0] : "explore";
-  harness::Cli cli(argc, argv);
+  const harness::Cli cli(argc, argv, kFlags);
+  const char* argv0 = cli.prog().c_str();
 
   const std::string app = cli.get_or("app", "stress-micro@1");
   const int ppn = static_cast<int>(cli.get_int("ppn", 1));
-  if (ppn < 1) return fail_usage(argv0, "--ppn must be >= 1");
-  const long procs = cli.get_int("procs", 2L * ppn);
-  const int total =
-      bench::checked_total_procs(argv0, "--procs", procs, ppn);
+  const int total = bench::checked_total_procs(
+      argv0, "--procs", cli.get_int("procs", 2L * ppn), ppn);
 
   SimConfig cfg = bench::base_config();
   cfg.comm.total_procs = total;
   cfg.comm.procs_per_node = ppn;
   cfg.comm.page_bytes =
       static_cast<std::uint32_t>(cli.get_int("page-bytes", 256));
-  const std::string proto = cli.get_or("protocol", "hlrc");
-  if (proto == "hlrc") {
-    cfg.comm.protocol = Protocol::kHLRC;
-  } else if (proto == "aurc") {
-    cfg.comm.protocol = Protocol::kAURC;
-  } else {
-    return fail_usage(argv0, "unknown --protocol: " + proto);
-  }
-  const std::string irq = cli.get_or("interrupt", "fixed");
-  if (irq == "fixed") {
-    cfg.comm.interrupt_scheme = InterruptScheme::kFixedProcessor;
-  } else if (irq == "round-robin") {
-    cfg.comm.interrupt_scheme = InterruptScheme::kRoundRobin;
-  } else if (irq == "polling") {
-    cfg.comm.interrupt_scheme = InterruptScheme::kPolling;
-  } else {
-    return fail_usage(argv0, "unknown --interrupt: " + irq);
-  }
+  cfg.comm.protocol =
+      cli.get_enum("protocol", kProtocolNames, Protocol::kHLRC);
+  cfg.comm.interrupt_scheme = cli.get_enum(
+      "interrupt", kInterruptNames, InterruptScheme::kFixedProcessor);
   // Longer flight times widen the windows in which independent deliveries
   // are co-pending, i.e. grow the choice tree; the canonical exhaustive
   // config raises this so even a two-node machine overlaps its channels.
@@ -91,14 +93,8 @@ int main(int argc, char** argv) {
   cfg.check.enabled = true;
 
   explore::ExploreConfig xcfg;
-  const std::string mode = cli.get_or("mode", "full");
-  if (mode == "full") {
-    xcfg.branching = explore::Branching::kFull;
-  } else if (mode == "dependent") {
-    xcfg.branching = explore::Branching::kDependent;
-  } else {
-    return fail_usage(argv0, "unknown --mode: " + mode);
-  }
+  xcfg.branching =
+      cli.get_enum("mode", kModeNames, explore::Branching::kFull);
   xcfg.hb_prune = !cli.has("no-hb-prune");
   xcfg.irq_choices = !cli.has("no-irq-choices");
   xcfg.max_states =
@@ -149,7 +145,9 @@ int main(int argc, char** argv) {
       "explore %s procs=%d ppn=%d %s %s mode=%s%s%s: states=%llu "
       "decisions=%llu branches=%llu redundant=%llu sleep_pruned=%llu "
       "independent=%llu hb_pruned=%llu max_depth=%llu violations=%llu%s\n",
-      app.c_str(), total, ppn, proto.c_str(), irq.c_str(),
+      app.c_str(), total, ppn,
+      harness::spelling(kProtocolNames, cfg.comm.protocol).data(),
+      harness::spelling(kInterruptNames, cfg.comm.interrupt_scheme).data(),
       to_string(xcfg.branching), xcfg.hb_prune ? "" : " no-hb",
       xcfg.irq_choices ? "" : " no-irq",
       static_cast<unsigned long long>(res.states),
@@ -177,18 +175,19 @@ int main(int argc, char** argv) {
                 res.violating.front().size(), path->c_str());
   }
 
-  if (const auto want = cli.get("expect-states")) {
-    if (res.states != static_cast<std::uint64_t>(std::stoll(*want))) {
-      std::fprintf(stderr, "%s: expected %s states, explored %llu\n", argv0,
-                   want->c_str(),
-                   static_cast<unsigned long long>(res.states));
+  if (cli.has("expect-states")) {
+    const long want = cli.get_int("expect-states", 0);
+    if (res.states != static_cast<std::uint64_t>(want)) {
+      std::fprintf(stderr, "%s: expected %ld states, explored %llu\n", argv0,
+                   want, static_cast<unsigned long long>(res.states));
       return 1;
     }
   }
-  if (const auto want = cli.get("expect-violations")) {
-    if (res.violations != static_cast<std::uint64_t>(std::stoll(*want))) {
-      std::fprintf(stderr, "%s: expected %s violations, found %llu\n", argv0,
-                   want->c_str(),
+  if (cli.has("expect-violations")) {
+    const long want = cli.get_int("expect-violations", 0);
+    if (res.violations != static_cast<std::uint64_t>(want)) {
+      std::fprintf(stderr, "%s: expected %ld violations, found %llu\n",
+                   argv0, want,
                    static_cast<unsigned long long>(res.violations));
       return 1;
     }

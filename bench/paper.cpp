@@ -4,10 +4,8 @@
 //
 // Each name is one table or figure (fig05_host_overhead,
 // table3_max_slowdowns, ...; an unknown name exits 2 and lists the valid
-// ones). With no name, every one runs in paper order. Put the names before
-// the flags: a word after the bare --check-consistency would be read as its
-// value, which exits 2. The flags are the shared bench flags
-// (bench_common.hpp).
+// ones). With no name, every one runs in paper order. The flags are the
+// shared bench flags (bench_common.hpp); names may go before or after them.
 //
 // The points of every selected figure run as one batch on the --jobs pool,
 // and each distinct (app, config) in it is simulated once. A point that
@@ -24,8 +22,7 @@
 int main(int argc, char** argv) {
   using namespace svmsim;
   const auto opt = bench::Options::parse(argc, argv);
-  const auto selected =
-      bench::select_figures(harness::Cli(argc, argv).positional(), opt.prog);
+  const auto selected = bench::select_figures(opt.names, opt.prog);
 
   std::vector<harness::SweepPoint> points;
   std::vector<std::size_t> begin;  // figure i owns [begin[i], begin[i + 1])

@@ -36,7 +36,9 @@
 // append one "link" line per physical link (occupancy counters), which
 // tools/scale_check.sh requires.
 //
-// Any other --flag exits 2 and names it.
+// Any other --flag, a repeated one and a --procs that is not an integer
+// exit 2 and name it (harness::Cli). --apps and --topology are read as in
+// paper: an unknown app name exits 2, a malformed spec exits 5.
 //
 // A point that fails (a deadlock, a run past the cycle limit, a failed
 // validation, a rejected config) prints no dump: the process names it on
@@ -46,9 +48,7 @@
 // and new points go after the existing ones so an older dump stays a byte
 // prefix of a newer one.
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -57,39 +57,24 @@
 int main(int argc, char** argv) {
   using namespace svmsim;
 
-  harness::Cli cli(argc, argv);
-  bench::exit_on_unknown_flag(cli, argc > 0 ? argv[0] : "sweep_dump",
-                              {"check-consistency", "apps", "procs",
-                               "topology"});
+  using Kind = harness::Cli::Kind;
+  static constexpr harness::Cli::Flag kFlags[] = {
+      {"check-consistency", Kind::kBool}, {"apps", Kind::kString},
+      {"procs", Kind::kInt}, {"topology", Kind::kString}};
+  const harness::Cli cli(argc, argv, kFlags);
   const bool check = cli.has("check-consistency");
-  std::vector<std::string> app_list = {"fft", "lu", "stress-gen@3"};
-  if (auto apps_arg = cli.get("apps")) {
-    app_list.clear();
-    std::stringstream ss(*apps_arg);
-    std::string item;
-    while (std::getline(ss, item, ',')) {
-      if (!item.empty()) app_list.push_back(item);
-    }
-  }
+  const std::vector<std::string> app_list =
+      bench::read_apps(cli, {"fft", "lu", "stress-gen@3"});
 
   SimConfig base = bench::base_config();
-  if (auto procs_arg = cli.get("procs")) {
+  if (cli.has("procs")) {
     base.comm.total_procs = bench::checked_total_procs(
-        argc > 0 ? argv[0] : "sweep_dump", "--procs",
-        std::strtol(procs_arg->c_str(), nullptr, 10),
+        cli.prog().c_str(), "--procs", cli.get_int("procs", 0),
         base.comm.procs_per_node);
   }
-  if (auto t = cli.get("topology")) {
-    if (auto spec = topo::Spec::parse(*t)) {
-      base.topology = *spec;
-    } else {
-      std::fprintf(stderr, "sweep_dump: unknown --topology value '%s'\n",
-                   t->c_str());
-      return bench::kExitBadTopology;
-    }
-    bench::checked_topology(argc > 0 ? argv[0] : "sweep_dump", base.topology,
-                            base.comm.node_count());
-  }
+  base.topology = bench::read_topology(cli);
+  bench::checked_topology(cli.prog().c_str(), base.topology,
+                          base.comm.node_count());
 
   harness::Sweep sweep(apps::Scale::kTiny);
 
@@ -139,13 +124,13 @@ int main(int argc, char** argv) {
   }
 
   const auto runs = sweep.run_points(points);
-  bench::exit_on_failed_point(argc > 0 ? argv[0] : "sweep_dump", runs);
+  bench::exit_on_failed_point(cli.prog().c_str(), runs);
 
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const auto& r = runs[i];
     const auto& cfg = points[i].cfg;
     std::printf("%s proto=%s %s\n", r.app.c_str(),
-                cfg.comm.protocol == Protocol::kAURC ? "aurc" : "hlrc",
+                harness::spelling(kProtocolNames, cfg.comm.protocol).data(),
                 labels[i].c_str());
     std::printf("  time=%llu events=%llu validated=%d uniprocessor=%llu\n",
                 static_cast<unsigned long long>(r.result.time),

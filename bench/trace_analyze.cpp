@@ -5,9 +5,12 @@
 //   trace_analyze <trace.bin>            print the analysis report
 //   trace_analyze --check <trace.bin>    verify; exit 1 on any mismatch
 //   trace_analyze --run [--app=fft] [--protocol=hlrc|aurc] [--scale=tiny]
-//                 [--out=<file>] [--check] [--top=N]
+//                 [--out=<file>] [--check] [--top=N] [--trace-categories=..]
 //       drive one traced run, write the trace, re-read it, and analyze.
 //       This mode backs the trace_analyze_check_* ctest entries.
+//
+// Flags and trace files may come in any order. An undeclared or repeated
+// flag and an unknown --protocol or --scale exit 2 (harness::Cli).
 #include <cstdio>
 #include <exception>
 #include <memory>
@@ -47,39 +50,30 @@ int analyze_file(const std::string& path, bool check_only, std::size_t top_n) {
 int run_and_analyze(const harness::Cli& cli, bool check_only,
                     std::size_t top_n) {
   const std::string app_name = cli.get_or("app", "fft");
-  const std::string proto = cli.get_or("protocol", "hlrc");
-  const std::string scale_name = cli.get_or("scale", "tiny");
-  const std::string out = cli.get_or("out", "trace_analyze." + app_name + "-" +
-                                                proto + ".bin");
-
-  apps::Scale scale = apps::Scale::kTiny;
-  if (scale_name == "small") scale = apps::Scale::kSmall;
-  if (scale_name == "large") scale = apps::Scale::kLarge;
+  const Protocol proto =
+      cli.get_enum("protocol", kProtocolNames, Protocol::kHLRC);
+  const std::string proto_name(harness::spelling(kProtocolNames, proto));
+  const apps::Scale scale =
+      cli.get_enum("scale", apps::kScaleNames, apps::Scale::kTiny);
+  const std::string out = cli.get_or(
+      "out", "trace_analyze." + app_name + "-" + proto_name + ".bin");
 
   SimConfig cfg;
   cfg.comm = CommParams::achievable();
-  if (proto == "aurc") {
-    cfg.comm.protocol = Protocol::kAURC;
-  } else if (proto != "hlrc") {
-    std::fprintf(stderr, "unknown --protocol '%s' (hlrc or aurc)\n",
-                 proto.c_str());
-    return 2;
-  }
+  cfg.comm.protocol = proto;
   cfg.trace.enabled = true;
   cfg.trace.path = out;
   if (auto cats = cli.get("trace-categories")) {
     auto mask = trace::parse_mask(*cats);
-    if (!mask) {
-      std::fprintf(stderr, "unknown --trace-categories '%s'\n", cats->c_str());
-      return 2;
-    }
+    if (!mask) cli.fail("unknown --trace-categories value '" + *cats + "'");
     cfg.trace.mask = *mask;
   }
 
   std::unique_ptr<Workload> app = apps::make_app(app_name, scale);
   const RunResult r = run(*app, cfg);
   std::printf("ran %s/%s/%s: time=%llu events=%llu validated=%d\n",
-              app_name.c_str(), proto.c_str(), scale_name.c_str(),
+              app_name.c_str(), proto_name.c_str(),
+              apps::to_string(scale).c_str(),
               static_cast<unsigned long long>(r.time),
               static_cast<unsigned long long>(r.events), (int)r.validated);
   if (!r.validated) {
@@ -93,25 +87,19 @@ int run_and_analyze(const harness::Cli& cli, bool check_only,
 }  // namespace
 
 int main(int argc, char** argv) {
-  harness::Cli cli(argc, argv);
+  using Kind = harness::Cli::Kind;
+  static constexpr harness::Cli::Flag kFlags[] = {
+      {"check", Kind::kBool}, {"top", Kind::kInt, 0}, {"run", Kind::kBool},
+      {"app", Kind::kString}, {"protocol", Kind::kString},
+      {"scale", Kind::kString}, {"out", Kind::kString},
+      {"trace-categories", Kind::kString}};
+  const harness::Cli cli(argc, argv, kFlags);
   const bool check_only = cli.has("check");
   const auto top_n = static_cast<std::size_t>(cli.get_int("top", 10));
   try {
     if (cli.has("run")) return run_and_analyze(cli, check_only, top_n);
-    // harness::Cli treats the token after a bare `--check` as its value, so
-    // `--check a.bin b.bin` swallows the first path; reclaim it.
-    std::vector<std::string> paths = cli.positional();
-    if (const auto v = cli.get("check"); v && *v != "1") {
-      paths.insert(paths.begin(), *v);
-    }
-    if (paths.empty()) {
-      std::fprintf(stderr,
-                   "usage: %s [--check] <trace.bin>\n"
-                   "       %s --run [--app=fft] [--protocol=hlrc|aurc] "
-                   "[--scale=tiny] [--out=file] [--check]\n",
-                   argv[0], argv[0]);
-      return 2;
-    }
+    const std::vector<std::string>& paths = cli.positional();
+    if (paths.empty()) cli.fail("no trace file given (or --run)");
     int rc = 0;
     for (const std::string& path : paths) {
       rc |= analyze_file(path, check_only, top_n);

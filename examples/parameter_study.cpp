@@ -18,13 +18,15 @@
 
 int main(int argc, char** argv) {
   using namespace svmsim;
-  harness::Cli cli(argc, argv);
+  using Kind = harness::Cli::Kind;
+  static constexpr harness::Cli::Flag kFlags[] = {
+      {"scale", Kind::kString},
+      {"jobs", Kind::kInt, 1, harness::JobPool::kMaxWorkers}};
+  const harness::Cli cli(argc, argv, kFlags);
   const std::string app =
       cli.positional().empty() ? "water-nsq" : cli.positional().front();
-  const std::string scale_name = cli.get_or("scale", "small");
-  const apps::Scale scale = scale_name == "tiny"    ? apps::Scale::kTiny
-                            : scale_name == "large" ? apps::Scale::kLarge
-                                                    : apps::Scale::kSmall;
+  const apps::Scale scale =
+      cli.get_enum("scale", apps::kScaleNames, apps::Scale::kSmall);
 
   struct Study {
     const char* name;
@@ -58,9 +60,8 @@ int main(int argc, char** argv) {
 
   // Independent simulation points run concurrently under --jobs (default:
   // one per hardware thread; --jobs=1 forces the serial path).
-  const auto jobs = static_cast<unsigned>(std::max(
-      1l, cli.get_int("jobs",
-                      static_cast<long>(harness::JobPool::hardware_default()))));
+  const auto jobs = static_cast<unsigned>(cli.get_int(
+      "jobs", static_cast<long>(harness::JobPool::hardware_default())));
   std::unique_ptr<harness::JobPool> pool;
   if (jobs > 1) pool = std::make_unique<harness::JobPool>(jobs);
 

@@ -12,13 +12,13 @@
 
 int main(int argc, char** argv) {
   using namespace svmsim;
-  harness::Cli cli(argc, argv);
+  static constexpr harness::Cli::Flag kFlags[] = {
+      {"scale", harness::Cli::Kind::kString}};
+  const harness::Cli cli(argc, argv, kFlags);
   const std::string app_name =
       cli.positional().empty() ? "fft" : cli.positional().front();
-  const std::string scale_name = cli.get_or("scale", "small");
-  const apps::Scale scale = scale_name == "tiny"    ? apps::Scale::kTiny
-                            : scale_name == "large" ? apps::Scale::kLarge
-                                                    : apps::Scale::kSmall;
+  const apps::Scale scale =
+      cli.get_enum("scale", apps::kScaleNames, apps::Scale::kSmall);
 
   // The cluster: 16 processors in 4-way SMP nodes, HLRC protocol, and the
   // paper's achievable communication parameters (Table 1).
@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   cfg.comm = CommParams::achievable();
 
   std::printf("running '%s' (%s) on %d processors (%d nodes x %d), %s...\n",
-              app_name.c_str(), scale_name.c_str(), cfg.comm.total_procs,
+              app_name.c_str(), apps::to_string(scale).c_str(),
+              cfg.comm.total_procs,
               cfg.comm.node_count(), cfg.comm.procs_per_node,
               to_string(cfg.comm.protocol).c_str());
 

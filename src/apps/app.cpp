@@ -3,15 +3,7 @@
 namespace svmsim::apps {
 
 std::string to_string(Scale s) {
-  switch (s) {
-    case Scale::kTiny:
-      return "tiny";
-    case Scale::kSmall:
-      return "small";
-    case Scale::kLarge:
-      return "large";
-  }
-  return "?";
+  return std::string(kScaleNames[static_cast<std::size_t>(s)].first);
 }
 
 }  // namespace svmsim::apps

@@ -11,7 +11,9 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/machine.hpp"
@@ -174,6 +176,11 @@ class SharedArray {
 /// Problem-size scaling for the suite: kTiny for unit tests, kSmall for the
 /// default bench runs, kLarge for closer-to-paper inputs.
 enum class Scale { kTiny, kSmall, kLarge };
+
+/// The one spelling table of Scale, in enum order: --scale values and
+/// to_string.
+inline constexpr std::pair<std::string_view, Scale> kScaleNames[] = {
+    {"tiny", Scale::kTiny}, {"small", Scale::kSmall}, {"large", Scale::kLarge}};
 
 [[nodiscard]] std::string to_string(Scale s);
 

@@ -57,7 +57,7 @@ Machine::Machine(const SimConfig& cfg)
   // Null for the contention-free crossbar. Throws std::invalid_argument
   // when the spec does not fit `nodes` (bench CLIs pre-check with
   // topo::fits and exit kExitBadTopology).
-  topo_ = topo::make_topology(cfg_.topology, cfg_.arch, sim_, nodes);
+  topo_ = topo::make_topology(cfg_.topology, cfg_.arch, nodes);
   if (topo_ != nullptr) network_.set_topology(topo_.get());
 
   // NIC service loops spawned in the Node constructors and the agents'
@@ -99,8 +99,8 @@ void Machine::finalize_stats() {
     u.id = static_cast<std::int32_t>(i);
     u.owner = L.owner;
     u.kind = static_cast<std::int8_t>(L.kind);
-    u.grants = L.server.grants();
-    u.busy = L.server.busy_cycles();
+    u.grants = L.grants;
+    u.busy = L.busy_cycles;
     u.wait = L.wait_cycles;
     u.bytes = L.bytes;
     links.push_back(u);

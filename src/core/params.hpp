@@ -11,6 +11,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "check/config.hpp"
 #include "engine/types.hpp"
@@ -35,6 +37,11 @@ enum class InterruptScheme {
   /// latency instead of the interrupt cost.
   kPolling,
 };
+
+/// The one spelling table of Protocol's --protocol values; to_string gives
+/// the upper-case display name.
+inline constexpr std::pair<std::string_view, Protocol> kProtocolNames[] = {
+    {"hlrc", Protocol::kHLRC}, {"aurc", Protocol::kAURC}};
 
 [[nodiscard]] std::string to_string(Protocol p);
 [[nodiscard]] std::string to_string(InterruptScheme s);

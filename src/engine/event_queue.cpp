@@ -413,15 +413,6 @@ bool TieredScheduler::run_until(Cycles deadline) {
   }
 }
 
-Cycles TieredScheduler::next_time() {
-  Cycles next = kNever;
-  if (!(lane_.head == nullptr && !advance() && heap_.empty())) {
-    next = normal_next_time();
-  }
-  if (!wire_.empty() && wire_.front().when < next) next = wire_.front().when;
-  return next;
-}
-
 void TieredScheduler::release_list(List& l) noexcept {
   Node* n = l.head;
   while (n != nullptr) {

@@ -192,12 +192,6 @@ class TieredScheduler {
   }
   [[nodiscard]] std::uint64_t events_fired() const noexcept { return fired_; }
 
-  /// Time of the earliest pending event (either band), or kNever if idle.
-  /// Never fires anything and never moves now(); may sweep the wheel cursor
-  /// forward (advance() splices the next occupied tick onto the lane, which
-  /// is a pure representation change).
-  [[nodiscard]] Cycles next_time();
-
   /// Run a single event; returns false if none pending.
   bool step();
 

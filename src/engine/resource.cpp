@@ -5,10 +5,6 @@
 namespace svmsim::engine {
 
 bool Resource::submit(Cycles service, std::coroutine_handle<> h) {
-  // Commit this request to the FIFO backlog at submit time: back-to-back
-  // service means the queue cannot clear before every already-submitted
-  // request's service has been paid.
-  committed_until_ = std::max(committed_until_, sim_->now()) + service;
   if (busy_) {
     waiters_.push_back(Waiter{h, service});
     return true;
@@ -20,7 +16,6 @@ bool Resource::submit(Cycles service, std::coroutine_handle<> h) {
 bool Resource::start(Cycles service, std::coroutine_handle<> h) {
   ++grants_;
   busy_cycles_ += service;
-  busy_until_ = sim_->now() + service;
   if (service == 0) {
     release();
     return false;
@@ -66,7 +61,6 @@ Task<void> Resource::with(std::function<Task<void>()> body) {
   // on our behalf.
   ++grants_;
   const Cycles start = sim_->now();
-  busy_until_ = start;  // body duration unknown; grant time is the bound
   try {
     co_await body();
   } catch (...) {

@@ -64,40 +64,6 @@ class Resource {
     return waiters_.size();
   }
 
-  /// Lower bound on when the current grant's service completes. Exact for
-  /// serve() grants (grant time + service), grant time for with() grants
-  /// (body duration unknown). Meaningful only while busy(); a stale value
-  /// from an earlier grant is still a valid lower bound for any future
-  /// completion.
-  [[nodiscard]] Cycles busy_until() const noexcept { return busy_until_; }
-
-  /// Completion lower bound for the most recently submitted serve():
-  /// FIFO service is back-to-back, so each submission pushes this to
-  /// max(committed, now) + service. A new request submitted now completes
-  /// no earlier than max(committed_until(), now) + its own service — the
-  /// backlog-aware form of busy_until() (with() holds are not counted, so
-  /// this stays a lower bound).
-  [[nodiscard]] Cycles committed_until() const noexcept {
-    return committed_until_;
-  }
-
-  /// Event-context FIFO reservation: occupy the resource for `service`
-  /// cycles starting when the committed backlog drains (never before
-  /// `now`), and return the completion time. The non-coroutine sibling of
-  /// serve(), for callers that cannot suspend — the topology layer
-  /// (src/topo/) serializes packets on a link from scheduled hop events
-  /// this way. Do not mix with serve()/with() on one resource: reserve()
-  /// bypasses the waiter queue and orders grants purely by submission,
-  /// which is FIFO only if every grant goes through it.
-  Cycles reserve(Cycles now, Cycles service) noexcept {
-    const Cycles start = committed_until_ > now ? committed_until_ : now;
-    committed_until_ = start + service;
-    busy_until_ = committed_until_;
-    busy_cycles_ += service;
-    ++grants_;
-    return committed_until_;
-  }
-
  private:
   /// A queued request: a serve() of `service` cycles, or a with() hold
   /// (service == kHold), which the hand-off only resumes.
@@ -107,8 +73,8 @@ class Resource {
   };
   static constexpr Cycles kHold = kNever;
 
-  /// serve() on behalf of `h`: commit the backlog, then start the grant
-  /// or queue for it. Returns false when the grant already completed.
+  /// serve() on behalf of `h`: start the grant or queue for it. Returns
+  /// false when the grant already completed.
   bool submit(Cycles service, std::coroutine_handle<> h);
   /// Grant accounting and the completion event of a `service`-cycle grant
   /// that starts now. Returns false when it completed on the spot
@@ -120,8 +86,6 @@ class Resource {
   Simulator* sim_;
   bool busy_ = false;
   Cycles busy_cycles_ = 0;
-  Cycles busy_until_ = 0;
-  Cycles committed_until_ = 0;
   std::uint64_t grants_ = 0;
   RingQueue<Waiter> waiters_;
 };

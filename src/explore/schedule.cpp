@@ -62,9 +62,8 @@ std::uint64_t fnv1a(std::string_view bytes, std::uint64_t seed) {
 }
 
 std::vector<std::uint8_t> encode(const Schedule& s, std::uint64_t fingerprint) {
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + 4 + 8 + 4 + s.size() * 9 + 8);
-  out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof kMagic);
+  out.reserve(sizeof kMagic + 4 + 8 + 4 + s.size() * 9 + 8);
   put_u32(out, kScheduleVersion);
   put_u64(out, fingerprint);
   put_u32(out, static_cast<std::uint32_t>(s.size()));

@@ -24,6 +24,9 @@ class JobPool {
  public:
   using Job = std::function<void()>;
 
+  /// Largest worker count a --jobs flag accepts.
+  static constexpr long kMaxWorkers = 256;
+
   /// Spawn `threads` workers; 0 means hardware_default().
   explicit JobPool(unsigned threads = 0);
   ~JobPool();

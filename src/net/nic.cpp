@@ -209,8 +209,12 @@ void Network::hop(core::PoolRef<Hop> h, Cycles now) {
   // legacy path, queued behind the link's committed backlog.
   const auto ser = static_cast<Cycles>(static_cast<double>(h->bytes) /
                                        L.bytes_per_cycle);
-  const Cycles done = L.server.reserve(now, ser);
-  const Cycles waited = (done - ser) - now;
+  const Cycles start = L.free_at > now ? L.free_at : now;
+  const Cycles done = start + ser;
+  const Cycles waited = start - now;
+  L.free_at = done;
+  ++L.grants;
+  L.busy_cycles += ser;
   L.wait_cycles += waited;
   L.bytes += h->bytes;
   SVMSIM_PROBE(*sim_, kLinkHop, -1, L.owner,

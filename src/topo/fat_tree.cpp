@@ -5,9 +5,8 @@
 
 namespace svmsim::topo {
 
-FatTree::FatTree(const ArchParams& arch, engine::Simulator& sim, int nodes,
-                 int k)
-    : Topology(arch, sim), nodes_(nodes), k_(k), half_(k / 2),
+FatTree::FatTree(const ArchParams& arch, int nodes, int k)
+    : Topology(arch), nodes_(nodes), k_(k), half_(k / 2),
       pod_hosts_(half_ * half_) {
   const int capacity = k * pod_hosts_;  // k pods x (k/2)^2 hosts = k^3/4
   if (nodes < 1 || nodes > capacity) {

@@ -24,7 +24,7 @@ namespace svmsim::topo {
 class FatTree final : public Topology {
  public:
   /// Throws std::invalid_argument when nodes > k^3/4.
-  FatTree(const ArchParams& arch, engine::Simulator& sim, int nodes, int k);
+  FatTree(const ArchParams& arch, int nodes, int k);
 
   [[nodiscard]] const char* name() const noexcept override {
     return "fattree";

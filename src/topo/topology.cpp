@@ -24,7 +24,7 @@ LinkId Topology::add_link(NodeId owner, LinkKind kind) {
                            : arch_->inter_hop_latency_cycles;
   const double bw = intra ? arch_->intra_link_bytes_per_cycle
                           : arch_->inter_link_bytes_per_cycle;
-  links_.emplace_back(*sim_, owner, lat, bw, kind);
+  links_.push_back(Link{owner, lat, bw, kind});
   return static_cast<LinkId>(links_.size() - 1);
 }
 
@@ -45,15 +45,14 @@ bool fits(const Spec& spec, int nodes) noexcept {
 }
 
 std::unique_ptr<Topology> make_topology(const Spec& spec,
-                                        const ArchParams& arch,
-                                        engine::Simulator& sim, int nodes) {
+                                        const ArchParams& arch, int nodes) {
   switch (spec.kind) {
     case Kind::kLegacy:
       return nullptr;
     case Kind::kFatTree:
-      return std::make_unique<FatTree>(arch, sim, nodes, spec.fat_k);
+      return std::make_unique<FatTree>(arch, nodes, spec.fat_k);
     case Kind::kTorus:
-      return std::make_unique<Torus>(arch, sim, nodes, spec.dims);
+      return std::make_unique<Torus>(arch, nodes, spec.dims);
   }
   throw std::invalid_argument("unknown topology kind");
 }

@@ -3,10 +3,10 @@
 // The legacy network (paper §2) is a contention-free crossbar: a packet's
 // in-flight time is wire latency + serialization, independent of every other
 // packet. A Topology replaces that single formula with a deterministic route
-// — a sequence of physical links — where each link is an engine::Resource:
-// packets serialize at the link's bandwidth in FIFO order and queue behind
-// each other, so congestion on a shared fat-tree up-link or a torus ring is
-// actually modeled. Links split into two cost classes (ArchParams): the
+// — a sequence of physical links — where each link is a FIFO server:
+// packets serialize at the link's bandwidth in arrival order and queue
+// behind each other, so congestion on a shared fat-tree up-link or a torus
+// ring is actually modeled. Links split into two cost classes (ArchParams): the
 // intra-node injection/ejection links between a host and its first
 // switch/router, and the inter-node switch-to-switch links.
 //
@@ -23,13 +23,11 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "core/params.hpp"
-#include "engine/resource.hpp"
-#include "engine/simulator.hpp"
 #include "engine/types.hpp"
 #include "topo/spec.hpp"
 
@@ -48,25 +46,19 @@ enum class LinkKind : std::int8_t {
 
 using LinkId = std::uint32_t;
 
-/// One directed physical link. The Resource provides the FIFO serialization
-/// point (reserve(): no coroutine needed from a scheduled hop event); the
-/// tallies feed the per-link occupancy rows of Stats.
+/// One directed physical link: a FIFO server whose backlog drains at
+/// `free_at` (a packet serializes from max(now, free_at) on, from a
+/// scheduled hop event), with the tallies of its Stats occupancy row.
 struct Link {
-  engine::Resource server;
   NodeId owner;            ///< node the link sits next to (row label)
   Cycles latency;          ///< propagation delay after serialization
   double bytes_per_cycle;  ///< serialization bandwidth
   LinkKind kind;
+  Cycles free_at = 0;             ///< end of the last packet's serialization
+  std::uint64_t grants = 0;       ///< packets serialized
+  Cycles busy_cycles = 0;         ///< accumulated serialization time
   std::uint64_t wait_cycles = 0;  ///< accumulated queueing delay
   std::uint64_t bytes = 0;        ///< bytes serialized
-
-  Link(engine::Simulator& sim, NodeId owner_node, Cycles lat, double bw,
-       LinkKind k) noexcept
-      : server(sim),
-        owner(owner_node),
-        latency(lat),
-        bytes_per_cycle(bw),
-        kind(k) {}
 };
 
 class Topology {
@@ -105,15 +97,13 @@ class Topology {
   }
 
  protected:
-  Topology(const ArchParams& arch, engine::Simulator& sim) noexcept
-      : arch_(&arch), sim_(&sim) {}
+  explicit Topology(const ArchParams& arch) noexcept : arch_(&arch) {}
 
   /// Register one directed link of the given class; returns its id.
   LinkId add_link(NodeId owner, LinkKind kind);
 
   const ArchParams* arch_;
-  engine::Simulator* sim_;  ///< every link's Resource serves on it
-  std::deque<Link> links_;  // deque: Resource addresses must be stable
+  std::vector<Link> links_;
 };
 
 /// Whether `spec` can host a cluster of `nodes` nodes: fat tree capacity is
@@ -126,7 +116,6 @@ class Topology {
 /// (callers that want an exit code instead check topo::fits first — see
 /// bench_common).
 [[nodiscard]] std::unique_ptr<Topology> make_topology(
-    const Spec& spec, const ArchParams& arch, engine::Simulator& sim,
-    int nodes);
+    const Spec& spec, const ArchParams& arch, int nodes);
 
 }  // namespace svmsim::topo

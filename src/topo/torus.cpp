@@ -5,9 +5,8 @@
 
 namespace svmsim::topo {
 
-Torus::Torus(const ArchParams& arch, engine::Simulator& sim, int nodes,
-             std::array<int, 3> dims)
-    : Topology(arch, sim), dims_(dims) {
+Torus::Torus(const ArchParams& arch, int nodes, std::array<int, 3> dims)
+    : Topology(arch), dims_(dims) {
   if (dims_[2] <= 0) dims_[2] = 1;
   ndims_ = dims_[2] > 1 ? 3 : 2;
   stride_ = 2 + 2 * ndims_;

@@ -16,8 +16,7 @@ class Torus final : public Topology {
  public:
   /// Throws std::invalid_argument when the extents do not multiply to
   /// `nodes` or the diameter exceeds Topology::kMaxHops.
-  Torus(const ArchParams& arch, engine::Simulator& sim, int nodes,
-        std::array<int, 3> dims);
+  Torus(const ArchParams& arch, int nodes, std::array<int, 3> dims);
 
   [[nodiscard]] const char* name() const noexcept override { return "torus"; }
   void route(NodeId src, NodeId dst, RouteBuf& out) const noexcept override;

@@ -1,13 +1,16 @@
-// CLI-layer tests for the shared bench option parser (bench_common) and the
-// paper driver's figure table (figures.hpp): an unknown flag, an unknown
-// --apps, --scale or figure name, a valued --check-consistency and a --csv
-// that names no writable directory are usage errors, a failed point ends the
-// raw-result drivers with exit 1, and every Options field reaches every
-// point of every figure. Exit codes are part of the contract — scripts
+// CLI-layer tests for the shared bench option parser (bench_common), the
+// paper driver's figure table (figures.hpp) and the flag tables of every
+// bench and example binary: an undeclared or repeated flag, a malformed
+// number, an out-of-range --jobs, an unknown --apps, --scale, --protocol or
+// figure name, a valued --check-consistency and a --csv that names no
+// writable directory are usage errors, a failed point ends the raw-result
+// drivers with exit 1, and every Options field reaches every point of every
+// figure. Exit codes are part of the contract — scripts
 // branch on them — so the failure paths are exercised as death/exit tests.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -23,11 +26,16 @@
 namespace svmsim::bench {
 namespace {
 
-/// Run Options::parse over a fake argv. --jobs=1 is forced so no worker
-/// pool is spawned (keeps the death tests' fork clean of threads).
+/// Run Options::parse over a fake argv. --jobs=1 is added unless `args`
+/// sets --jobs, so no worker pool is spawned (keeps the death tests' fork
+/// clean of threads).
 Options parse(std::vector<std::string> args) {
+  if (std::none_of(args.begin(), args.end(), [](const std::string& a) {
+        return a.rfind("--jobs", 0) == 0;
+      })) {
+    args.push_back("--jobs=1");
+  }
   args.insert(args.begin(), "bench_test");
-  args.push_back("--jobs=1");
   std::vector<char*> argv;
   argv.reserve(args.size());
   for (auto& a : args) argv.push_back(a.data());
@@ -69,7 +77,10 @@ TEST(BenchCliDeathTest, UnknownFlagExitsWithUsageCode) {
 }
 
 TEST(BenchCli, BinariesRejectUnknownFlags) {
-  for (const char* binary : {SVMSIM_PAPER_BIN, SVMSIM_SWEEP_DUMP_BIN}) {
+  for (const char* binary :
+       {SVMSIM_PAPER_BIN, SVMSIM_SWEEP_DUMP_BIN, SVMSIM_EXPLORE_BIN,
+        SVMSIM_TRACE_ANALYZE_BIN, SVMSIM_QUICKSTART_BIN,
+        SVMSIM_PARAMETER_STUDY_BIN}) {
     for (const char* name : {"par-cores", "bogus"}) {
       const std::string arg = std::string("--") + name;
       const Exit e = run_binary(binary, arg + "=4");
@@ -78,6 +89,48 @@ TEST(BenchCli, BinariesRejectUnknownFlags) {
           << binary << ": " << e.err;
     }
   }
+}
+
+// A value that does not parse in full, or a flag given twice, must fail
+// naming the flag and the value instead of running some other machine.
+TEST(BenchCli, BinariesRejectMalformedValues) {
+  const struct {
+    const char* binary;
+    const char* args;
+    const char* diagnostic;
+  } cases[] = {
+      {SVMSIM_PAPER_BIN, "--jobs=abc", "--jobs value 'abc' is not an integer"},
+      {SVMSIM_PAPER_BIN, "--link-bytes-per-cycle=2x",
+       "--link-bytes-per-cycle value '2x' is not a number"},
+      {SVMSIM_PAPER_BIN, "--jobs=1 --jobs=4", "repeated flag '--jobs'"},
+      {SVMSIM_SWEEP_DUMP_BIN, "--procs=16x",
+       "--procs value '16x' is not an integer"},
+      {SVMSIM_SWEEP_DUMP_BIN, "--procs=16 --procs=64",
+       "repeated flag '--procs'"},
+      {SVMSIM_EXPLORE_BIN, "--max-states=abc",
+       "--max-states value 'abc' is not an integer"},
+      {SVMSIM_EXPLORE_BIN, "--expect-states=abc",
+       "--expect-states value 'abc' is not an integer"},
+      {SVMSIM_EXPLORE_BIN, "--protocol=x", "unknown --protocol value 'x'"},
+      {SVMSIM_TRACE_ANALYZE_BIN, "--run --scale=huge",
+       "unknown --scale value 'huge'"},
+      {SVMSIM_QUICKSTART_BIN, "--scale=huge", "unknown --scale value 'huge'"},
+  };
+  for (const auto& c : cases) {
+    const Exit e = run_binary(c.binary, c.args);
+    EXPECT_EQ(e.code, 2) << c.binary << " " << c.args;
+    EXPECT_NE(e.err.find(c.diagnostic), std::string::npos)
+        << c.binary << " " << c.args << ": " << e.err;
+  }
+}
+
+// Death tests fork without running the pool: --jobs=257 fails in the Cli,
+// before any worker would be spawned.
+TEST(BenchCliDeathTest, JobsOutsideOneTo256ExitsWithUsageCode) {
+  EXPECT_EXIT(parse({"--jobs=257"}), ::testing::ExitedWithCode(2),
+              "--jobs value '257' is outside \\[1, 256\\]");
+  EXPECT_EXIT(parse({"--jobs=0"}), ::testing::ExitedWithCode(2),
+              "--jobs value '0' is outside");
 }
 
 TEST(BenchCliDeathTest, UnknownAppExitsWithUsageCode) {
@@ -96,12 +149,13 @@ TEST(BenchCliDeathTest, UnknownScaleExitsWithUsageCode) {
 }
 
 TEST(BenchCliDeathTest, ValuedCheckConsistencyExitsWithUsageCode) {
-  // The Cli reads a word after a bare flag as its value: a figure name put
-  // after --check-consistency must not vanish into it.
-  EXPECT_EXIT(parse({"--check-consistency", "fig05_host_overhead"}),
-              ::testing::ExitedWithCode(2),
-              "--check-consistency takes no value, got "
-              "'fig05_host_overhead'");
+  // A bool flag never takes the next word: a figure name after
+  // --check-consistency stays a name, and only --flag=value is an error.
+  const Options opt = parse({"--check-consistency", "fig05_host_overhead"});
+  EXPECT_TRUE(opt.check.enabled);
+  EXPECT_EQ(opt.names, std::vector<std::string>{"fig05_host_overhead"});
+  EXPECT_EXIT(parse({"--check-consistency=x"}), ::testing::ExitedWithCode(2),
+              "--check-consistency takes no value, got 'x'");
 }
 
 TEST(BenchCliDeathTest, CsvWithoutDirectoryExitsWithUsageCode) {

@@ -51,8 +51,8 @@ SimConfig tiny_config(Protocol proto = Protocol::kHLRC) {
 constexpr const char* kTinyApp = "stress-micro@3";
 
 /// Exhaustive (kFull) state count of tiny_config() + kTinyApp. The same
-/// number is pinned by the explore_exhaustive_smoke ctest entry and the
-/// CI "Explore smoke" step (bench/CMakeLists.txt): a drift means the
+/// number is pinned by the explore_exhaustive_smoke ctest entry
+/// (bench/CMakeLists.txt) and tools/sanitize.sh: a drift means the
 /// engine's nondeterminism surface changed — new decision points appeared
 /// or existing ones vanished — and must be a conscious decision.
 constexpr std::uint64_t kPinnedTinyStates = 13;

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "harness/job_pool.hpp"
 
@@ -27,6 +30,8 @@ std::vector<char*> argv_of(std::vector<std::string>& args) {
   for (auto& a : args) out.push_back(a.data());
   return out;
 }
+
+// ---- The permissive two-argument form (frozen perfbench/svmbench.cpp) ----
 
 TEST(Cli, ParsesKeyEqualsValue) {
   std::vector<std::string> args{"prog", "--scale=large", "--csv=/tmp/x"};
@@ -68,6 +73,90 @@ TEST(Cli, NumericAccessors) {
   EXPECT_EQ(cli.get_int("n", 0), 42);
   EXPECT_DOUBLE_EQ(cli.get_double("x", 0), 2.5);
   EXPECT_EQ(cli.get_int("missing", 7), 7);
+}
+
+TEST(Cli, PermissiveFormTokenizesAsBefore) {
+  // Any name, a bare flag swallowing the next word, the first of a repeated
+  // flag winning, and numbers read as a prefix.
+  std::vector<std::string> args{"prog",     "--check", "a.bin", "b.bin",
+                                "--n=16x",  "--n=4",   "--x=2x",
+                                "--last"};
+  auto argv = argv_of(args);
+  Cli cli(static_cast<int>(argv.size()), argv.data());
+  EXPECT_EQ(cli.get_or("check", "?"), "a.bin");
+  EXPECT_EQ(cli.positional(), std::vector<std::string>{"b.bin"});
+  EXPECT_EQ(cli.get_int("n", 0), 16);
+  EXPECT_DOUBLE_EQ(cli.get_double("x", 0), 2.0);
+  EXPECT_EQ(cli.get_or("last", "?"), "1");
+}
+
+// ---- The strict form: a declared flag table ----
+
+constexpr std::pair<std::string_view, int> kColours[] = {{"red", 1},
+                                                         {"blue", 2}};
+
+constexpr Cli::Flag kFlags[] = {
+    {"check", Cli::Kind::kBool},
+    {"n", Cli::Kind::kInt, 1, 256},
+    {"x", Cli::Kind::kDouble},
+    {"name", Cli::Kind::kString},
+    {"colour", Cli::Kind::kString},
+};
+
+Cli strict(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  auto argv = argv_of(args);
+  return Cli(static_cast<int>(argv.size()), argv.data(), kFlags);
+}
+
+TEST(Cli, BoolFlagDoesNotTakeTheNextWord) {
+  const Cli cli = strict({"--check", "a.bin", "b.bin"});
+  EXPECT_TRUE(cli.has("check"));
+  EXPECT_EQ(cli.positional(), (std::vector<std::string>{"a.bin", "b.bin"}));
+}
+
+TEST(Cli, SpaceAndEqualsFormsAgree) {
+  for (const auto& args :
+       {std::vector<std::string>{"--n", "16", "--x", "2.5", "--name", "f"},
+        std::vector<std::string>{"--n=16", "--x=2.5", "--name=f"}}) {
+    const Cli cli = strict(args);
+    EXPECT_EQ(cli.get_int("n", 0), 16);
+    EXPECT_DOUBLE_EQ(cli.get_double("x", 0), 2.5);
+    EXPECT_EQ(cli.get_or("name", "?"), "f");
+    EXPECT_TRUE(cli.positional().empty());
+  }
+}
+
+TEST(Cli, EnumReadsItsSpellingTable) {
+  EXPECT_EQ(strict({"--colour=blue"}).get_enum("colour", kColours, 0), 2);
+  EXPECT_EQ(strict({}).get_enum("colour", kColours, 7), 7);
+  EXPECT_EQ(spelling(kColours, 1), "red");
+}
+
+TEST(Cli, ReadingAnUndeclaredFlagThrows) {
+  EXPECT_THROW((void)strict({}).get("scale"), std::logic_error);
+}
+
+TEST(CliDeathTest, UsageErrorsExitTwoNamingTheFlag) {
+  EXPECT_EXIT(strict({"--bogus=1"}), ::testing::ExitedWithCode(2),
+              "prog: unknown flag '--bogus'\nusage: prog \\[--check\\]");
+  EXPECT_EXIT(strict({"--n=1", "--n=4"}), ::testing::ExitedWithCode(2),
+              "repeated flag '--n'");
+  EXPECT_EXIT(strict({"--n=16x"}), ::testing::ExitedWithCode(2),
+              "--n value '16x' is not an integer");
+  EXPECT_EXIT(strict({"--n", " 16"}), ::testing::ExitedWithCode(2),
+              "--n value ' 16' is not an integer");
+  EXPECT_EXIT(strict({"--n=257"}), ::testing::ExitedWithCode(2),
+              "--n value '257' is outside \\[1, 256\\]");
+  EXPECT_EXIT(strict({"--x=2x"}), ::testing::ExitedWithCode(2),
+              "--x value '2x' is not a number");
+  EXPECT_EXIT(strict({"--check=x"}), ::testing::ExitedWithCode(2),
+              "--check takes no value, got 'x'");
+  EXPECT_EXIT(strict({"--name"}), ::testing::ExitedWithCode(2),
+              "--name needs a value");
+  EXPECT_EXIT((void)strict({"--colour=green"}).get_enum("colour", kColours, 0),
+              ::testing::ExitedWithCode(2),
+              "unknown --colour value 'green' \\(expected red\\|blue\\)");
 }
 
 TEST(Table, AlignsColumns) {

@@ -220,22 +220,15 @@ TEST(Resource, WithAndServeWaitersShareOneFifo) {
   spawn(server(sim, r, done, 2, 3));   // [17, 20)
   spawn(holder(sim, r, done, 3, 4));   // [20, 24)
   spawn(server(sim, r, done, 4, 6));   // [24, 30)
-  // with() holds are not counted in the committed backlog: 10 + 3 + 6.
-  EXPECT_EQ(r.committed_until(), 19u);
   EXPECT_EQ(r.queue_length(), 4u);
-  EXPECT_EQ(r.busy_until(), 10u);
   sim.run_until(22);
-  // Mid-way through the second hold, granted at 20: busy_until is the
-  // grant time, since a hold's length is unknown.
+  // Mid-way through the second hold, granted at 20.
   EXPECT_TRUE(r.busy());
-  EXPECT_EQ(r.busy_until(), 20u);
   EXPECT_EQ(r.queue_length(), 1u);
   sim.run_until_idle();
   EXPECT_EQ(done, (Done{{0, 10}, {1, 17}, {2, 20}, {3, 24}, {4, 30}}));
   EXPECT_EQ(r.grants(), 5u);
   EXPECT_EQ(r.busy_cycles(), 30u);
-  EXPECT_EQ(r.busy_until(), 30u);
-  EXPECT_EQ(r.committed_until(), 19u);
   EXPECT_FALSE(r.busy());
 }
 

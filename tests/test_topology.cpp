@@ -11,7 +11,6 @@
 #include "apps/registry.hpp"
 #include "core/machine.hpp"
 #include "core/runner.hpp"
-#include "engine/simulator.hpp"
 #include "topo/spec.hpp"
 #include "topo/topology.hpp"
 
@@ -94,23 +93,20 @@ TEST(TopoSpec, FitsChecksCapacityAndExactProduct) {
 // ---- Backend construction helpers ---------------------------------------
 
 std::unique_ptr<topo::Topology> make(const char* spec, int nodes,
-                                     engine::Simulator& sim,
                                      const ArchParams& arch = ArchParams{}) {
-  return topo::make_topology(*Spec::parse(spec), arch, sim, nodes);
+  return topo::make_topology(*Spec::parse(spec), arch, nodes);
 }
 
 TEST(TopoBackend, ContentionFreeNetworkHasNone) {
   // The crossbar is the network with no backend installed.
-  engine::Simulator sim;
-  EXPECT_EQ(make("crossbar", 4, sim), nullptr);
+  EXPECT_EQ(make("crossbar", 4), nullptr);
 }
 
 // ---- Route properties ---------------------------------------------------
 
 TEST(TopoRoute, IsDeterministicAcrossCalls) {
-  engine::Simulator sim;
   for (const char* spec : {"fattree:4", "torus:4x4"}) {
-    const auto t = make(spec, 16, sim);
+    const auto t = make(spec, 16);
     for (NodeId s = 0; s < 16; ++s) {
       for (NodeId d = 0; d < 16; ++d) {
         topo::Topology::RouteBuf a;
@@ -129,10 +125,9 @@ TEST(TopoRoute, IsDeterministicAcrossCalls) {
 }
 
 TEST(TopoRoute, TorusHopCountIsWraparoundManhattanDistance) {
-  engine::Simulator sim;
   const int X = 4;
   const int Y = 4;
-  const auto t = make("torus:4x4", X * Y, sim);
+  const auto t = make("torus:4x4", X * Y);
   for (NodeId s = 0; s < static_cast<NodeId>(X * Y); ++s) {
     for (NodeId d = 0; d < static_cast<NodeId>(X * Y); ++d) {
       topo::Topology::RouteBuf r;
@@ -157,8 +152,7 @@ TEST(TopoRoute, TorusHopCountIsWraparoundManhattanDistance) {
 }
 
 TEST(TopoRoute, FatTreePathsGoUpThenDownAndNeverRepeatALink) {
-  engine::Simulator sim;
-  const auto t = make("fattree:4", 16, sim);
+  const auto t = make("fattree:4", 16);
   for (NodeId s = 0; s < 16; ++s) {
     for (NodeId d = 0; d < 16; ++d) {
       topo::Topology::RouteBuf r;
