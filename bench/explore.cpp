@@ -32,6 +32,7 @@
 //   --expect-states=N       exit 1 unless exactly N states were explored
 //   --expect-violations=N   exit 1 unless exactly N violating runs were seen
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -64,10 +65,8 @@ constexpr harness::Cli::Flag kFlags[] = {
     {"expect-states", Kind::kInt, 0}, {"expect-violations", Kind::kInt, 0},
     {"record", Kind::kString}, {"replay", Kind::kString}};
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const harness::Cli cli(argc, argv, kFlags);
+/// The driver proper: parsed flags in, exit code out.
+int explore_main(const harness::Cli& cli) {
   const char* argv0 = cli.prog().c_str();
 
   const std::string app = cli.get_or("app", "stress-micro@1");
@@ -193,4 +192,18 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const harness::Cli cli(argc, argv, kFlags);
+  try {
+    return explore_main(cli);
+  } catch (const std::invalid_argument& e) {
+    // A well-formed value the simulator rejects (an unknown --app, a
+    // --page-bytes that is not a power of two): report it, exit 1.
+    std::fprintf(stderr, "%s: %s\n", cli.prog().c_str(), e.what());
+    return 1;
+  }
 }

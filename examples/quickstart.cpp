@@ -4,17 +4,21 @@
 //
 //   ./quickstart [app] [--scale=tiny|small|large]
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "apps/registry.hpp"
 #include "core/runner.hpp"
 #include "harness/cli.hpp"
 
-int main(int argc, char** argv) {
-  using namespace svmsim;
-  static constexpr harness::Cli::Flag kFlags[] = {
-      {"scale", harness::Cli::Kind::kString}};
-  const harness::Cli cli(argc, argv, kFlags);
+namespace {
+
+using namespace svmsim;
+
+constexpr harness::Cli::Flag kFlags[] = {
+    {"scale", harness::Cli::Kind::kString}};
+
+int quickstart(const harness::Cli& cli) {
   const std::string app_name =
       cli.positional().empty() ? "fft" : cli.positional().front();
   const apps::Scale scale =
@@ -70,4 +74,17 @@ int main(int argc, char** argv) {
   std::printf("  interrupts      %8llu\n",
               static_cast<unsigned long long>(c.interrupts));
   return par.validated ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const harness::Cli cli(argc, argv, kFlags);
+  try {
+    return quickstart(cli);
+  } catch (const std::invalid_argument& e) {
+    // An application name apps::make_app does not know: report it, exit 1.
+    std::fprintf(stderr, "%s: %s\n", cli.prog().c_str(), e.what());
+    return 1;
+  }
 }

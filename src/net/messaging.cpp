@@ -20,12 +20,6 @@ void NodeComm::set_on_update(std::function<void(const Message&)> fn) {
   }
 }
 
-void NodeComm::set_on_enqueue(std::function<void(Message&)> fn) {
-  for (Nic* nic : nics_) {
-    nic->on_enqueue = fn;
-  }
-}
-
 engine::Task<void> NodeComm::send(Message m) {
   m.src = self_;
   Nic& nic = nic_for(m.dst);
@@ -76,7 +70,6 @@ engine::Task<void> NodeComm::reply(const Message& req, Message rep) {
 }
 
 void NodeComm::dispatch(Message&& m) {
-  if (on_deliver) on_deliver(m);
   if (is_reply(m.type)) {
     const std::size_t slot = m.rpc_id & kSlotMask;
     assert(slot < slots_.size() && slots_[slot].in_use &&

@@ -58,16 +58,6 @@ class NodeComm {
   /// AURC markers). Must not block.
   std::function<void(Message&&)> direct_handler;
 
-  /// Runs on every delivered message before reply correlation and interrupt
-  /// dispatch, in exact arrival order — the receive side of the protocol's
-  /// clock-delta edge caches (expansion back to full clocks). Must not
-  /// block; may rewrite the body.
-  std::function<void(Message&)> on_deliver;
-
-  /// Install `fn` as the enqueue hook on every NI of this node (the send
-  /// side of the clock-delta edge caches; see Nic::on_enqueue).
-  void set_on_enqueue(std::function<void(Message&)> fn);
-
   /// Provided by the node: runs `body` in interrupt context (victim
   /// selection, interrupt cost, per-processor serialization, time stealing).
   std::function<void(std::function<engine::Task<void>()>)> interrupt_dispatch;

@@ -38,9 +38,6 @@ engine::Task<void> Nic::post(Message m) {
     send_space_.reset();
     co_await send_space_.wait();
   }
-  // The enqueue hook runs with no suspension point between it and
-  // push_back below: its per-edge encoding order is the launch order.
-  if (on_enqueue) on_enqueue(m);
   if (m.type == MsgType::kUpdate) {
     SVMSIM_PROBE(*sim_, kUpdateSend, -1, self_, m.page, m.payload_bytes);
   } else {

@@ -70,15 +70,6 @@ class Nic {
   /// Full message arrived and DMA'd to host memory (set by messaging layer).
   std::function<void(Message&&)> on_message;
 
-  /// Invoked at the exact enqueue point of post() — after any overflow
-  /// wait, immediately before the message joins the FIFO send queue — where
-  /// enqueue order equals launch order. The protocol layer's clock-delta
-  /// encoder hangs here (docs/scaling.md): messages of equal wire size on
-  /// one (src, dst) edge cannot overtake each other between this point and
-  /// delivery, which is what makes per-edge delta caches sound. The hook
-  /// may rewrite the body but must not change payload_bytes.
-  std::function<void(Message&)> on_enqueue;
-
   /// AURC automatic update applied directly by the NI (set by the AURC
   /// device); never interrupts the host.
   std::function<void(const Message&)> on_update;

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "check/checker.hpp"
@@ -38,7 +38,6 @@ SvmAgent::SvmAgent(engine::Simulator& sim, const SimConfig& cfg, NodeId self,
       vc_(space.nodes()),
       node_flush_done_(sim),
       inval_scratch_(static_cast<std::size_t>(procs_on_node)),
-      peers_(static_cast<std::size_t>(space.nodes())),
       barrier_done_(sim),
       barrier_release_(sim),
       barrier_merged_(space.nodes()) {}
@@ -50,8 +49,6 @@ void SvmAgent::install() {
   comm_->direct_handler = [this](net::Message&& m) {
     handle_direct(std::move(m));
   };
-  comm_->on_deliver = [this](net::Message& m) { expand_clock(m); };
-  comm_->set_on_enqueue([this](net::Message& m) { encode_clock(m); });
   // Size the per-page SoA tables once for the pages allocated up front
   // (apps allocate before the run starts; the slot accessors still grow
   // lazily if one allocates mid-run).
@@ -59,136 +56,7 @@ void SvmAgent::install() {
   pending_fetch_.resize(pages, nullptr);
   pending_flush_.resize(pages, nullptr);
   flush_epoch_by_page_.resize(pages, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Sparse clock transport (docs/scaling.md)
-// ---------------------------------------------------------------------------
-
-SvmAgent::PeerClocks& SvmAgent::peer(NodeId n) {
-  std::unique_ptr<PeerClocks>& slot = peers_[static_cast<std::size_t>(n)];
-  if (!slot) slot = std::make_unique<PeerClocks>(space_->nodes());
-  return *slot;
-}
-
-void SvmAgent::encode_clock(net::Message& m) {
-  VClock* last;
-  switch (m.type) {
-    case net::MsgType::kLockAcquire:
-    case net::MsgType::kTokenReturn:
-      last = &peer(m.dst).out_sync;
-      break;
-    case net::MsgType::kBarrierArrive:
-      last = &peer(m.dst).out_barrier;
-      break;
-    default:
-      return;
-  }
-  const VClock& sent = vclock_body(m.body);
-  VClockDeltaRef d = pools_->clock_delta();
-  // Entries are *differences*, not advances: two processors can construct
-  // messages in one order and enqueue them in the other, so successive
-  // clocks on an edge need not be monotone. Plain set() on both caches
-  // keeps the receiver's mirror exact either way.
-  if (!(sent == *last)) {  // summary + memcmp short-circuit
-    const std::uint32_t* s = sent.data();
-    const std::uint32_t* l = last->data();
-    const int n = sent.size();
-    for (int i = 0; i < n; ++i) {
-      if (s[i] != l[i]) {
-        d->entries.push_back({static_cast<NodeId>(i), s[i]});
-        last->set(static_cast<NodeId>(i), s[i]);
-      }
-    }
-  }
-  if (sim_->checker() != nullptr) d->shadow = sent;
-  m.body = std::move(d);  // drops the full-clock body reference
-}
-
-VClockDeltaRef SvmAgent::encode_reply_delta(const VClock& base,
-                                            const VClock& target) {
-  VClockDeltaRef d = pools_->clock_delta();
-  const std::uint32_t* b = base.data();
-  const std::uint32_t* t = target.data();
-  const int n = base.size();
-  for (int i = 0; i < n; ++i) {
-    if (t[i] > b[i]) d->entries.push_back({static_cast<NodeId>(i), t[i]});
-  }
-  if (sim_->checker() != nullptr) {
-    d->shadow = base;
-    d->shadow.merge(target);
-  }
-  return d;
-}
-
-void SvmAgent::check_expansion(const VClockDeltaBody& d,
-                               const VClock& got) const {
-  if (d.shadow.size() == 0 || got == d.shadow) return;
-  std::fprintf(stderr,
-               "[svmsim] node %d: clock delta expansion mismatch\n"
-               "  expanded %s\n  expected %s\n",
-               self_, got.to_string().c_str(), d.shadow.to_string().c_str());
-  std::abort();
-}
-
-void SvmAgent::expand_clock(net::Message& m) {
-  switch (m.type) {
-    case net::MsgType::kLockAcquire: {
-      const VClockDeltaBody& d = vclock_delta_body(m.body);
-      VClock& in = peer(m.src).in_sync;
-      for (const VClockDeltaBody::Entry& e : d.entries) in.set(e.node, e.value);
-      check_expansion(d, in);
-      // The grant may be issued long after later traffic moves this edge
-      // cache on; the request keeps its own copy of the expanded clock.
-      m.body = pools_->vclock(in);
-      break;
-    }
-    case net::MsgType::kTokenReturn: {
-      const VClockDeltaBody& d = vclock_delta_body(m.body);
-      VClock& in = peer(m.src).in_sync;
-      for (const VClockDeltaBody::Entry& e : d.entries) in.set(e.node, e.value);
-      check_expansion(d, in);
-      break;  // the handler never reads the body; the delta recycles with it
-    }
-    case net::MsgType::kBarrierArrive: {
-      const VClockDeltaBody& d = vclock_delta_body(m.body);
-      VClock& in = peer(m.src).in_barrier;
-      for (const VClockDeltaBody::Entry& e : d.entries) in.set(e.node, e.value);
-      check_expansion(d, in);
-      break;  // barrier() reads the delta entries for the incremental merge
-    }
-    case net::MsgType::kBarrierRelease: {
-      const VClockDeltaBody& d = vclock_delta_body(m.body);
-      assert(barrier_sent_ && "release without an outstanding arrival");
-      VClock& vc = barrier_sent_->vc;
-      for (const VClockDeltaBody::Entry& e : d.entries) vc.set(e.node, e.value);
-      check_expansion(d, vc);
-      m.body = std::move(barrier_sent_);
-      break;
-    }
-    case net::MsgType::kLockGrant: {
-      const VClockDeltaBody& d = vclock_delta_body(m.body);
-      for (std::size_t i = 0; i < grant_bases_.size(); ++i) {
-        if (grant_bases_[i].first != m.rpc_id) continue;
-        VClockRef base = std::move(grant_bases_[i].second);
-        grant_bases_[i] = std::move(grant_bases_.back());
-        grant_bases_.pop_back();
-        VClock& vc = base->vc;
-        // Reply-relative entries always advance past the base (the home
-        // computed them against this very clock).
-        for (const VClockDeltaBody::Entry& e : d.entries) {
-          vc.set(e.node, e.value);
-        }
-        check_expansion(d, vc);
-        m.body = std::move(base);
-        return;
-      }
-      assert(false && "lock grant with no registered request clock");
-      break;
-    }
-    default:
-      break;
-  }
+  notice_stamp_by_page_.resize(pages, 0);
 }
 
 void SvmAgent::dump_lock_state() const {
@@ -540,21 +408,39 @@ Task<void> SvmAgent::flush(Processor& p) {
 Task<void> SvmAgent::apply_invalidations(Processor& p, const VClock& target) {
   if (vc_.covers(target)) co_return;
 
+  // Every notice in (vc_, target] is charged, this node's own included; the
+  // pages other writers dirtied are collected once each (a page can appear
+  // in many intervals), stamped per call so no duplicate reaches the sort.
   std::vector<PageId>& pages = inval_scratch_[local_index(p)];
   pages.clear();
-  const std::uint64_t notices = shared_->dir.collect_notices(
-      vc_, target, [&](PageId page, NodeId writer) {
-        if (writer != self_) pages.push_back(page);
-      });
+  if (notice_stamp_by_page_.size() < space_->page_count()) {
+    notice_stamp_by_page_.resize(space_->page_count(), 0);
+  }
+  if (++notice_stamp_ == 0) {  // wrapped: clear stamps that could alias
+    std::fill(notice_stamp_by_page_.begin(), notice_stamp_by_page_.end(), 0);
+    notice_stamp_ = 1;
+  }
+  std::uint64_t notices = 0;
+  for (NodeId n = 0; n < target.size(); ++n) {
+    const std::span<const PageId> range =
+        shared_->dir.pages_between(n, vc_.get(n), target.get(n));
+    notices += range.size();
+    if (n == self_) continue;
+    for (const PageId page : range) {
+      std::uint32_t& stamp = notice_stamp_by_page_[page];
+      if (stamp == notice_stamp_) continue;
+      stamp = notice_stamp_;
+      pages.push_back(page);
+    }
+  }
   if (notices > 0) {
     SVMSIM_PROBE(*sim_, kWriteNotices, p.id(), self_, notices, 0);
   }
   p.charge(TimeCat::kProtocol, notices * cfg_->arch.write_notice_cycles);
 
-  // Deduplicate (a page can appear in many intervals); sorting also makes
-  // the invalidation order independent of the interval log layout.
+  // Sorting makes the invalidation order independent of the interval log
+  // layout.
   std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
 
   // Fault injection (kSkippedNotice): silently forget one write notice, so
   // a stale copy survives the acquire.
@@ -666,9 +552,6 @@ Task<void> SvmAgent::acquire_lock(Processor& p, int lock) {
       charge_send(p);
       co_await p.drain();
       const std::uint64_t id = comm_->rpc_post(m);
-      // The grant comes back relative to this request's clock; keep a
-      // reference so expand_clock can reconstruct the full grant clock.
-      grant_bases_.push_back({id, std::get<VClockRef>(m.body)});
       co_await comm_->send(std::move(m));
       const Cycles t0 = sim_->now();
       net::Message grant = co_await comm_->await_reply(id);
@@ -731,8 +614,7 @@ Task<void> SvmAgent::send_token_return(int lock, Processor* p) {
   m.type = net::MsgType::kTokenReturn;
   m.dst = home;
   m.lock_id = lock;
-  m.payload_bytes = vclock_wire_bytes();
-  m.body = pools_->vclock(vc_);
+  m.payload_bytes = vclock_wire_bytes();  // a clock's size; no body is read
   co_await comm_->send(std::move(m));
 }
 
@@ -765,34 +647,20 @@ Task<void> SvmAgent::barrier(Processor& p) {
     co_await shared_->hub.collect(barrier_arrivals_);
     p.wait_end(TimeCat::kBarrierWait, t0);
 
-    // Incremental reduction: merged_{k-1} survives from the last episode,
-    // and every episode-k clock covers it (each representative applied
-    // invalidations with merged_{k-1} before leaving episode k-1), so
-    // folding in vc_ plus each arrival's *delta entries* reproduces the
-    // full N-clock gather-merge byte for byte — in O(changes), not
-    // O(nodes^2).
     barrier_merged_.merge(vc_);
     for (const auto& a : barrier_arrivals_) {
-      const VClockDeltaBody& d = vclock_delta_body(a.body);
-      for (const VClockDeltaBody::Entry& e : d.entries) {
-        // Guarded: an edge-cache delta records any change vs the last
-        // arrival, and a component can lag the running merge.
-        if (e.value > barrier_merged_.get(e.node)) {
-          barrier_merged_.set(e.node, e.value);
-        }
-      }
+      barrier_merged_.merge(vclock_body(a.body));
     }
+    // Every release carries the same merged clock: one pooled body.
+    const VClockRef merged = pools_->vclock(barrier_merged_);
     for (const auto& a : barrier_arrivals_) {
-      // in_barrier mirrors a.src's arrival clock exactly and cannot move
-      // until a.src re-arrives, which needs this very release first.
-      const VClock& their_vc = peer(a.src).in_barrier;
       const std::uint64_t notices =
-          shared_->dir.count_notices(their_vc, barrier_merged_);
+          shared_->dir.count_notices(vclock_body(a.body), barrier_merged_);
       net::Message rel;
       rel.type = net::MsgType::kBarrierRelease;
       rel.dst = a.src;
       rel.payload_bytes = vclock_wire_bytes() + 8 * notices;
-      rel.body = encode_reply_delta(their_vc, barrier_merged_);
+      rel.body = merged;
       charge_send(p);
       co_await p.drain();
       co_await comm_->send(std::move(rel));
@@ -806,10 +674,7 @@ Task<void> SvmAgent::barrier(Processor& p) {
     arr.type = net::MsgType::kBarrierArrive;
     arr.dst = shared_->hub.manager();
     arr.payload_bytes = vclock_wire_bytes();
-    // Keep a reference to the arrival clock: the release comes back as a
-    // delta relative to it (expand_clock resolves it through barrier_sent_).
-    barrier_sent_ = pools_->vclock(vc_);
-    arr.body = barrier_sent_;
+    arr.body = pools_->vclock(vc_);
     charge_send(p);
     co_await p.drain();
     co_await comm_->send(std::move(arr));
@@ -915,7 +780,9 @@ Task<void> SvmAgent::grant_lock(net::Message req) {
   g.type = net::MsgType::kLockGrant;
   g.lock_id = req.lock_id;
   g.payload_bytes = vclock_wire_bytes() + 8 * notices;
-  g.body = encode_reply_delta(vclock_body(req.body), s.vc);
+  // The lock's clock alone: the requester's clock at request time is
+  // covered by its vc_, so the grant names the same notices as req ∨ s.vc.
+  g.body = pools_->vclock(s.vc);
   co_await comm_->reply(req, std::move(g));
   // Pipeline the next handoff if more requesters are queued.
   if (!s.waiters.empty() && !s.recall_sent) {

@@ -16,7 +16,10 @@
 // Consistency model: intervals are per-node (the node is the coherence
 // agent; processors inside an SMP node share pages through hardware), with
 // vector timestamps, eager home updates at releases, and invalidation at
-// acquires via write notices.
+// acquires via write notices. Lock requests and grants and barrier arrivals
+// and releases carry the sender's whole clock as an immutable pooled body
+// (docs/scaling.md §2); the notices themselves are read from the shared
+// PageDirectory, and only their count is sized onto the wire.
 //
 // Hot-path structure (PR 2): protocol episodes recycle pooled Triggers with
 // generation counters instead of allocating shared_ptr<Trigger> per miss;
@@ -29,8 +32,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/params.hpp"
@@ -169,38 +170,6 @@ class SvmAgent {
   // Acquire-time invalidations.
   engine::Task<void> apply_invalidations(Processor& p, const VClock& target);
 
-  // Sparse clock transport (docs/scaling.md). Clock-bearing requests
-  // (kLockAcquire, kTokenReturn, kBarrierArrive) all have the same wire
-  // size, so per (src, dst) edge they complete in send order; the sender
-  // rewrites the full pooled clock into the entries that differ from the
-  // previous clock message on that edge (encode_clock, at the NI enqueue
-  // point) and the receiver replays them into its mirror cache in arrival
-  // order (expand_clock, at dispatch). Barrier arrivals use a separate
-  // cache class so an arrival delta is exactly "what changed since this
-  // node's previous arrival" — the incremental barrier reduction merges
-  // only those pairs. Variable-size replies (kLockGrant, kBarrierRelease)
-  // are instead encoded relative to the clock carried by the request they
-  // answer, which both sides hold.
-  struct PeerClocks {
-    explicit PeerClocks(int nodes)
-        : out_sync(nodes),
-          out_barrier(nodes),
-          in_sync(nodes),
-          in_barrier(nodes) {}
-    VClock out_sync;     ///< last sync-class clock sent to this peer
-    VClock out_barrier;  ///< last barrier arrival sent to this peer
-    VClock in_sync;      ///< last sync-class clock received from this peer
-    VClock in_barrier;   ///< last barrier arrival received from this peer
-  };
-  [[nodiscard]] PeerClocks& peer(NodeId n);
-  void encode_clock(net::Message& m);  // full body -> delta (sender NI)
-  void expand_clock(net::Message& m);  // delta -> full clock (receiver)
-  /// Delta of `target` past `base` (reply encoding: base is the answered
-  /// request's clock, which the receiver still holds).
-  [[nodiscard]] VClockDeltaRef encode_reply_delta(const VClock& base,
-                                                  const VClock& target);
-  void check_expansion(const VClockDeltaBody& d, const VClock& got) const;
-
   // Incoming request handlers (interrupt context).
   engine::Task<void> handle_request(net::Message m);
   virtual void handle_direct(net::Message&& m);
@@ -278,6 +247,12 @@ class SvmAgent {
   /// Per-local-processor invalidation scratch (apply_invalidations can run
   /// on several processors of the node concurrently).
   std::vector<std::vector<PageId>> inval_scratch_;
+  /// Stamp for deduplicating the pages one apply_invalidations call
+  /// collects (compared against notice_stamp_by_page_; the collection does
+  /// not suspend, so concurrent calls never interleave in it).
+  std::uint32_t notice_stamp_ = 0;
+  /// Last apply_invalidations call that collected each page.
+  std::vector<std::uint32_t> notice_stamp_by_page_;
 
   engine::Trigger*& fetch_slot(PageId page);
   engine::Trigger*& flush_slot(PageId page);
@@ -286,26 +261,16 @@ class SvmAgent {
   void end_page_flush(PageId page);
   engine::Task<void> wait_page_flush(Processor& p, PageId page);
 
-  // Sparse clock transport state: per-peer edge caches (allocated on the
-  // first clock message to/from that peer — most edges never carry clock
-  // traffic), the clocks carried by outstanding lock acquires (the grant
-  // delta's reference, keyed by rpc id; at most one per local processor),
-  // and the clock this rep's barrier arrival carried (the release delta's
-  // reference, held from arrival send to release receipt).
-  std::vector<std::unique_ptr<PeerClocks>> peers_;
-  std::vector<std::pair<std::uint64_t, VClockRef>> grant_bases_;
-  VClockRef barrier_sent_;
-
   // Hierarchical-barrier state (one episode at a time).
   int barrier_arrived_ = 0;
   engine::Trigger barrier_done_;
   engine::Trigger barrier_release_;
   net::Message barrier_release_msg_;
   std::vector<net::Message> barrier_arrivals_;  ///< manager scratch
-  /// Manager state: the running N-way merge. Persists across episodes —
-  /// every clock feeding episode k covers episode k-1's merged clock (each
-  /// rep merged it at the last release), so episode k only folds in this
-  /// episode's arrival deltas plus the manager's own clock.
+  /// Manager state: the merge of the manager's clock and every arrival
+  /// clock. It persists across episodes, which changes nothing: every clock
+  /// feeding episode k covers episode k-1's merged clock (each rep merged it
+  /// at the last release).
   VClock barrier_merged_;
 };
 

@@ -13,34 +13,11 @@ void PageDirectory::record_interval(NodeId n, std::uint32_t index,
   l.ends.push_back(static_cast<std::uint32_t>(l.pages.size()));
 }
 
-std::uint64_t PageDirectory::collect_notices(
-    const VClock& have, const VClock& target,
-    const std::function<void(PageId, NodeId)>& fn) const {
-  std::uint64_t count = 0;
-  for (NodeId n = 0; n < nodes(); ++n) {
-    const auto& l = log_[static_cast<std::size_t>(n)];
-    const std::uint32_t from = have.get(n);
-    const std::uint32_t to = target.get(n);
-    if (from >= to) continue;
-    const std::uint32_t lo = begin_of(l, from);
-    const std::uint32_t hi = l.ends[to - 1];
-    for (std::uint32_t i = lo; i < hi; ++i) {
-      fn(l.pages[i], n);
-    }
-    count += hi - lo;
-  }
-  return count;
-}
-
 std::uint64_t PageDirectory::count_notices(const VClock& have,
                                            const VClock& target) const {
   std::uint64_t count = 0;
   for (NodeId n = 0; n < nodes(); ++n) {
-    const auto& l = log_[static_cast<std::size_t>(n)];
-    const std::uint32_t from = have.get(n);
-    const std::uint32_t to = target.get(n);
-    if (from >= to) continue;
-    count += l.ends[to - 1] - begin_of(l, from);
+    count += pages_between(n, have.get(n), target.get(n)).size();
   }
   return count;
 }

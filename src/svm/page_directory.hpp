@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -42,12 +41,18 @@ class PageDirectory {
                                                       pages.size()));
   }
 
-  /// For every interval covered by `target` but not by `have`, invoke
-  /// `fn(page, writer_node)` for each dirtied page. Returns the number of
-  /// notices (for wire sizing: 8 bytes each).
-  std::uint64_t collect_notices(
-      const VClock& have, const VClock& target,
-      const std::function<void(PageId, NodeId)>& fn) const;
+  /// The pages node `n` dirtied in its intervals (from, to], back to back
+  /// in interval order: the write notices of `n` that a clock at `from`
+  /// gets from one at `to`. Empty when `from >= to`. The span is valid
+  /// until `n` records its next interval.
+  [[nodiscard]] std::span<const PageId> pages_between(NodeId n,
+                                                      std::uint32_t from,
+                                                      std::uint32_t to) const {
+    if (from >= to) return {};
+    const NodeLog& l = log_[static_cast<std::size_t>(n)];
+    const std::uint32_t lo = begin_of(l, from);
+    return {l.pages.data() + lo, l.ends[to - 1] - lo};
+  }
 
   /// Number of notices without visiting them (message sizing). O(nodes).
   [[nodiscard]] std::uint64_t count_notices(const VClock& have,

@@ -21,7 +21,10 @@
 
 namespace svmsim::svm {
 
-/// A pooled vector clock (lock grants, token returns, barrier traffic).
+/// A pooled vector clock (lock requests and grants, barrier arrivals and
+/// releases), always the full clock (docs/scaling.md §2). Immutable once
+/// sent: the sender copies its clock in, and every holder of the reference
+/// (one barrier release body goes to all arrivers) only reads it.
 struct VClockBody {
   VClock vc;
   void recycle() noexcept {}  // overwritten by assignment on next use
@@ -59,37 +62,12 @@ struct DiffBatchBody {
   }
 };
 
-/// A pooled sparse clock delta (docs/scaling.md): the (node, value) entries
-/// by which a message's clock differs from a reference clock the receiver
-/// already holds — the per-edge cache for clock-bearing requests, or the
-/// answered request's clock for replies. Values are absolute interval
-/// indices, not increments, so expansion replays them with set/merge and the
-/// receiver-side cache mirrors the sender's exactly. The delta is a host-side
-/// representation only: `payload_bytes` is still sized from the full-clock
-/// wire encoding. `shadow` is the expected post-expansion clock, captured
-/// only in checked runs; expansion cross-checks against it.
-struct VClockDeltaBody {
-  struct Entry {
-    NodeId node;
-    std::uint32_t value;
-  };
-  std::vector<Entry> entries;
-  VClock shadow;  ///< checked runs only; size() == 0 otherwise
-
-  void recycle() noexcept {
-    entries.clear();          // keep capacity
-    shadow = VClock();
-  }
-};
-
 using VClockRef = core::PoolRef<VClockBody>;
 using BytesRef = core::PoolRef<core::PooledBytes>;
 using DiffBatchRef = core::PoolRef<DiffBatchBody>;
-using VClockDeltaRef = core::PoolRef<VClockDeltaBody>;
 
 /// The closed set of protocol message bodies.
-using Payload = std::variant<std::monostate, VClockRef, BytesRef, DiffBatchRef,
-                             VClockDeltaRef>;
+using Payload = std::variant<std::monostate, VClockRef, BytesRef, DiffBatchRef>;
 
 [[nodiscard]] inline const VClock& vclock_body(const Payload& p) {
   return std::get<VClockRef>(p)->vc;
@@ -100,10 +78,6 @@ using Payload = std::variant<std::monostate, VClockRef, BytesRef, DiffBatchRef,
 }
 [[nodiscard]] inline const DiffBatchBody& diff_batch_body(const Payload& p) {
   return *std::get<DiffBatchRef>(p);
-}
-[[nodiscard]] inline const VClockDeltaBody& vclock_delta_body(
-    const Payload& p) {
-  return *std::get<VClockDeltaRef>(p);
 }
 
 }  // namespace svmsim::svm

@@ -18,7 +18,6 @@ struct ProtocolPools {
   core::ObjectPool<VClockBody> vclocks;
   core::ObjectPool<core::PooledBytes> buffers;
   core::ObjectPool<DiffBatchBody> diff_batches;
-  core::ObjectPool<VClockDeltaBody> clock_deltas;
   engine::TriggerPool triggers;
 
   /// A pooled vector-clock body holding a copy of `vc`.
@@ -31,8 +30,6 @@ struct ProtocolPools {
   [[nodiscard]] BytesRef bytes() { return buffers.acquire(); }
   /// An empty pooled diff batch.
   [[nodiscard]] DiffBatchRef diff_batch() { return diff_batches.acquire(); }
-  /// An empty pooled sparse clock delta.
-  [[nodiscard]] VClockDeltaRef clock_delta() { return clock_deltas.acquire(); }
 };
 
 }  // namespace svmsim::svm

@@ -46,16 +46,13 @@ void VClock::merge(const VClock& o) {
     return;
   }
   std::uint32_t* a = mut();
-  bool changed = false;
   for (int i = 0; i < size_; ++i) {
     if (b[i] > a[i]) {
       sum_ += b[i] - a[i];
       a[i] = b[i];
-      changed = true;
     }
   }
   if (o.max_ > max_) max_ = o.max_;
-  if (changed) ++version_;
 }
 
 bool VClock::operator==(const VClock& o) const {

@@ -5,18 +5,15 @@
 // The representation is built for large machines (docs/scaling.md): entries
 // live in a small-buffer inline array up to kInlineNodes (the paper's
 // 16-processor configs never touch the heap) with a heap spill above that,
-// and every clock maintains three summaries alongside the entries:
+// and every clock maintains two summaries alongside the entries:
 //
 //   sum      the sum of all entries. Component-wise dominance implies sum
 //            dominance, so `covers` can reject on sum alone, and equal sums
 //            reduce dominance to equality (one memcmp).
 //   max      the largest entry; a second cheap dominance rejector.
-//   version  a monotonic mutation counter, bumped by every operation that
-//            may have changed a value (including copy assignment). Callers
-//            holding a reference to a clock can use it to skip re-derived
-//            state when nothing changed. The per-edge delta caches
-//            (hlrc.cpp) compare *copies*, so they short-circuit on the sum
-//            summary + memcmp (`operator==`) instead.
+//
+// Messages carry clocks as immutable pooled copies (svm/payload.hpp), so a
+// clock is copied once per clock-bearing send and never diffed or rebuilt.
 //
 // The summaries are derived state: `operator==`, `covers` and `merge` are
 // value-semantics exact, and simulated results never depend on them.
@@ -62,7 +59,6 @@ class VClock {
       }
       max_ = o.max_;
       sum_ = o.sum_;
-      ++version_;  // own mutation counter, not copied
     }
     return *this;
   }
@@ -77,7 +73,6 @@ class VClock {
       }
       max_ = o.max_;
       sum_ = o.sum_;
-      ++version_;
     }
     return *this;
   }
@@ -103,14 +98,12 @@ class VClock {
     } else if (old == max_) {
       recompute_max();
     }
-    ++version_;
   }
   std::uint32_t advance(NodeId n) {
     std::uint32_t& e = mut()[static_cast<std::size_t>(n)];
     ++e;
     ++sum_;
     if (e > max_) max_ = e;
-    ++version_;
     return e;
   }
 
@@ -118,9 +111,6 @@ class VClock {
   [[nodiscard]] std::uint64_t sum() const noexcept { return sum_; }
   /// Largest entry (derived).
   [[nodiscard]] std::uint32_t max_component() const noexcept { return max_; }
-  /// Mutation counter: changes whenever a value may have changed. Never
-  /// carried by copies — each object counts its own mutations.
-  [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
   /// True if this clock has seen interval `interval` of node `n`.
   [[nodiscard]] bool covers(NodeId n, std::uint32_t interval) const {
@@ -147,7 +137,6 @@ class VClock {
   int size_ = 0;
   std::uint32_t max_ = 0;
   std::uint64_t sum_ = 0;
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace svmsim::svm

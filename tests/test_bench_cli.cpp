@@ -124,6 +124,32 @@ TEST(BenchCli, BinariesRejectMalformedValues) {
   }
 }
 
+// A value the Cli accepts but the simulator rejects (an unknown application,
+// a page size that is not a power of two) exits 1 with `<prog>: <what>`,
+// not with an uncaught exception.
+TEST(BenchCli, BinariesReportRejectedValues) {
+  const struct {
+    const char* binary;
+    const char* args;
+    const char* diagnostic;
+  } cases[] = {
+      {SVMSIM_QUICKSTART_BIN, "nosuchapp --scale=tiny",
+       "quickstart: unknown application: nosuchapp"},
+      {SVMSIM_EXPLORE_BIN,
+       "--page-bytes=48 --app=stress-micro@3 --procs=2 --ppn=1 "
+       "--max-states=4",
+       "explore: page_bytes must be a nonzero power of two"},
+      {SVMSIM_EXPLORE_BIN, "--app=nosuch --max-states=4",
+       "explore: unknown application: nosuch"},
+  };
+  for (const auto& c : cases) {
+    const Exit e = run_binary(c.binary, c.args);
+    EXPECT_EQ(e.code, 1) << c.binary << " " << c.args;
+    EXPECT_NE(e.err.find(c.diagnostic), std::string::npos)
+        << c.binary << " " << c.args << ": " << e.err;
+  }
+}
+
 // Death tests fork without running the pool: --jobs=257 fails in the Cli,
 // before any worker would be spawned.
 TEST(BenchCliDeathTest, JobsOutsideOneTo256ExitsWithUsageCode) {

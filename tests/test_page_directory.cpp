@@ -3,11 +3,24 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <random>
 #include <set>
 #include <vector>
 
 namespace svmsim::svm {
 namespace {
+
+/// Every notice in (have, target]: each node's pages_between range in turn.
+std::vector<PageId> notices(const PageDirectory& dir, const VClock& have,
+                            const VClock& target) {
+  std::vector<PageId> out;
+  for (NodeId n = 0; n < dir.nodes(); ++n) {
+    for (PageId p : dir.pages_between(n, have.get(n), target.get(n))) {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
 
 TEST(PageDirectory, CollectsOnlyUncoveredIntervals) {
   PageDirectory dir(2);
@@ -20,11 +33,10 @@ TEST(PageDirectory, CollectsOnlyUncoveredIntervals) {
   target.set(0, 2);
   target.set(1, 1);
 
-  std::multiset<PageId> pages;
-  const auto n = dir.collect_notices(
-      have, target, [&](PageId p, NodeId) { pages.insert(p); });
-  EXPECT_EQ(n, 4u);
-  EXPECT_EQ(pages, (std::multiset<PageId>{10, 11, 12, 20}));
+  const std::vector<PageId> got = notices(dir, have, target);
+  EXPECT_EQ(got.size(), 4u);
+  EXPECT_EQ(std::multiset<PageId>(got.begin(), got.end()),
+            (std::multiset<PageId>{10, 11, 12, 20}));
 }
 
 TEST(PageDirectory, SkipsCoveredIntervals) {
@@ -35,22 +47,22 @@ TEST(PageDirectory, SkipsCoveredIntervals) {
   have.set(0, 1);
   VClock target(2);
   target.set(0, 2);
-  std::vector<PageId> pages;
-  dir.collect_notices(have, target, [&](PageId p, NodeId) {
-    pages.push_back(p);
-  });
-  EXPECT_EQ(pages, (std::vector<PageId>{11}));
+  EXPECT_EQ(notices(dir, have, target), (std::vector<PageId>{11}));
 }
 
-TEST(PageDirectory, ReportsWriterNode) {
+TEST(PageDirectory, RangesBelongToTheirWriter) {
   PageDirectory dir(3);
   dir.record_interval(2, 1, {5});
-  VClock have(3);
-  VClock target(3);
-  target.set(2, 1);
-  NodeId writer = -1;
-  dir.collect_notices(have, target, [&](PageId, NodeId w) { writer = w; });
-  EXPECT_EQ(writer, 2);
+  dir.record_interval(2, 2, {6, 7});
+  EXPECT_TRUE(dir.pages_between(0, 0, 0).empty());
+  EXPECT_TRUE(dir.pages_between(2, 1, 1).empty());
+  EXPECT_TRUE(dir.pages_between(2, 2, 1).empty());  // from past to: empty
+  EXPECT_EQ(std::vector<PageId>(dir.pages_between(2, 0, 2).begin(),
+                                dir.pages_between(2, 0, 2).end()),
+            (std::vector<PageId>{5, 6, 7}));
+  EXPECT_EQ(std::vector<PageId>(dir.pages_between(2, 1, 2).begin(),
+                                dir.pages_between(2, 1, 2).end()),
+            (std::vector<PageId>{6, 7}));
 }
 
 TEST(PageDirectory, CountMatchesCollect) {
@@ -63,10 +75,43 @@ TEST(PageDirectory, CountMatchesCollect) {
   VClock target(2);
   target.set(0, 1);
   target.set(1, 2);
-  std::size_t collected = 0;
-  dir.collect_notices(have, target, [&](PageId, NodeId) { ++collected; });
+  const std::size_t collected = notices(dir, have, target).size();
   EXPECT_EQ(dir.count_notices(have, target), collected);
   EXPECT_EQ(collected, 5u);
+}
+
+// For random clock pairs, including ones where `have` is ahead of `target`
+// in some components, the span sizes sum to count_notices, on both sides of
+// the inline-clock boundary.
+TEST(PageDirectory, SpanSizesSumToCountAtOneTo256Nodes) {
+  std::mt19937 rng(7);
+  for (const int nodes : {1, 2, 3, 16, 17, 64, 256}) {
+    PageDirectory dir(nodes);
+    std::vector<std::uint32_t> intervals(static_cast<std::size_t>(nodes));
+    for (int n = 0; n < nodes; ++n) {
+      const std::uint32_t k = rng() % 9;
+      for (std::uint32_t i = 1; i <= k; ++i) {
+        std::vector<PageId> pages(rng() % 5);
+        for (PageId& p : pages) p = rng() % 32;
+        dir.record_interval(n, i, pages);
+      }
+      intervals[static_cast<std::size_t>(n)] = k;
+    }
+    for (int trial = 0; trial < 50; ++trial) {
+      VClock have(nodes), target(nodes);
+      for (int n = 0; n < nodes; ++n) {
+        const std::uint32_t k = intervals[static_cast<std::size_t>(n)];
+        have.set(n, rng() % (k + 1));
+        target.set(n, rng() % (k + 1));
+      }
+      std::uint64_t sum = 0;
+      for (NodeId n = 0; n < nodes; ++n) {
+        sum += dir.pages_between(n, have.get(n), target.get(n)).size();
+      }
+      ASSERT_EQ(sum, dir.count_notices(have, target))
+          << nodes << " nodes, trial " << trial;
+    }
+  }
 }
 
 TEST(PageDirectory, IntervalsOf) {
@@ -88,7 +133,7 @@ TEST(PageDirectory, EmptyIntervalContributesNothing) {
 }
 
 // Large-machine growth: every node's flat log grows through many
-// reallocations while count and collect scans interleave with the appends.
+// reallocations while count and range scans interleave with the appends.
 // A scan only targets interval counts already recorded, as a clock carried
 // by a message names only completed intervals.
 TEST(PageDirectory, GrowthAt256NodesUnderInterleavedScans) {
@@ -104,8 +149,7 @@ TEST(PageDirectory, GrowthAt256NodesUnderInterleavedScans) {
       target.set(n, idx);
       have.set(n, idx / 2);
       if (n % 64 != 0) continue;
-      std::uint64_t collected = 0;
-      dir.collect_notices(have, target, [&](PageId, NodeId) { ++collected; });
+      const std::uint64_t collected = notices(dir, have, target).size();
       // Both scans are bounded by the same (have, target) pair, so the
       // wire-sizing count and the walk must agree while the logs grow.
       ASSERT_EQ(collected, dir.count_notices(have, target));

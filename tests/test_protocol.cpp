@@ -3,10 +3,14 @@
 // through the full machine (caches, NIC, protocol agents).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common.hpp"
+#include "trace/trace.hpp"
 
 namespace svmsim::test {
 namespace {
@@ -339,6 +343,71 @@ TEST(Protocol, DisableRemoteFetchesSkipsMessages) {
   // Fetches are satisfied locally: no page request/reply traffic beyond
   // barrier messages.
   EXPECT_LE(r.stats.counters().messages_sent, 16u);
+}
+
+/// A page named by several intervals of several writers costs one write
+/// notice per interval but is invalidated once; invalidations go in
+/// ascending page order whatever order the intervals name the pages in.
+TEST(Protocol, PageInManyIntervalsIsInvalidatedOnce) {
+  SimConfig cfg = config_with(4, 1);
+  const std::string path = "test_protocol_notices.trace";
+  cfg.trace.enabled = true;
+  cfg.trace.path = path;
+  SharedArray<double> arr;
+  std::uint64_t per_page = 0;
+  std::uint64_t page_a = 0;
+  std::uint64_t page_b = 0;
+  LambdaWorkload w(
+      "notice-dedup",
+      [&](Machine& m) {
+        per_page = m.space().page_bytes() / sizeof(double);
+        arr = SharedArray<double>::alloc(m, 2 * per_page,
+                                         Distribution::fixed(0));
+        page_a = m.space().page_of(arr.addr(0));
+        page_b = m.space().page_of(arr.addr(per_page));
+      },
+      [&](Machine& m, ProcId pid) -> engine::Task<void> {
+        Shm shm(m, pid);
+        const std::uint64_t a = 0;
+        const std::uint64_t b = per_page;
+        if (pid == 3) {  // read copies of both pages, invalidated below
+          (void)co_await arr.get(shm, a);
+          (void)co_await arr.get(shm, b);
+        }
+        co_await shm.barrier();
+        if (pid == 1) {  // two intervals: {B}, then {A}
+          co_await shm.lock(7);
+          co_await arr.put(shm, b, 1.0);
+          co_await shm.unlock(7);
+          co_await shm.lock(7);
+          co_await arr.put(shm, a, 1.0);
+          co_await shm.unlock(7);
+        } else if (pid == 2) {  // one interval: {A, B}
+          co_await shm.lock(7);
+          co_await arr.put(shm, a + 1, 2.0);
+          co_await arr.put(shm, b + 1, 2.0);
+          co_await shm.unlock(7);
+        }
+        co_await shm.barrier();
+      });
+  const RunResult r = run(w, cfg);
+  EXPECT_TRUE(r.validated);
+  const trace::TraceFile f = trace::read_file(path);
+  std::remove(path.c_str());
+  ASSERT_NE(page_a, page_b);
+
+  // Node 3 acquires nothing but the last barrier, whose release names all
+  // four notices.
+  std::vector<std::uint64_t> invalidated;
+  std::vector<std::uint64_t> notices;
+  for (const trace::Record& rec : f.records) {
+    if (rec.node != 3) continue;
+    const auto ev = static_cast<trace::Event>(rec.event);
+    if (ev == trace::Event::kPageInval) invalidated.push_back(rec.a0);
+    if (ev == trace::Event::kWriteNotices) notices.push_back(rec.a0);
+  }
+  EXPECT_EQ(invalidated, (std::vector<std::uint64_t>{page_a, page_b}));
+  EXPECT_EQ(notices, (std::vector<std::uint64_t>{4}));
 }
 
 // ---- The synchronous hit path (Shm::read/write, SvmAgent::advance) ----

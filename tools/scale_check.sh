@@ -8,7 +8,10 @@
 #
 #   validation      sweep_dump exits 0: every point ran and validated;
 #   per-link lines  the fat-tree and torus dumps carry one "link" line per
-#                   physical link.
+#                   physical link;
+#   consistency     the largest size's crossbar dump, rerun with
+#                   --check-consistency, exits 0: the consistency oracle
+#                   finds no violation at the largest machine.
 #
 # When the sizes include both 16 and 256 it also gates host throughput:
 # events/sec of the crossbar dump (the summed events= of its points
@@ -89,6 +92,15 @@ for procs in "$@"; do
          "($(wc -l < "$out_dir/dump-$tag.txt") lines)"
   done
 done
+
+largest=0
+for procs in "$@"; do [ "$procs" -gt "$largest" ] && largest="$procs"; done
+if ! "$dump" --apps=stress-gen@3 --procs="$largest" --check-consistency \
+    > "$out_dir/dump-$largest-crossbar-checked.txt"; then
+  echo "scale_check: crossbar at $largest procs: checked sweep_dump failed" >&2
+  exit 1
+fi
+echo "scale_check: $largest procs, crossbar, --check-consistency: no violation"
 
 if [[ " $* " == *" 16 "* && " $* " == *" 256 "* ]]; then
   eps16="$(eps 16)"
