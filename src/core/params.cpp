@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <sstream>
+#include <utility>
 
 namespace svmsim {
 
@@ -37,15 +38,21 @@ std::string ArchParams::validate() const {
   if (const std::string err = l2.validate(); !err.empty()) {
     return "l2." + err;
   }
-  // !(x > 0) instead of x <= 0: a NaN bandwidth must fail too.
-  if (!(link_bytes_per_cycle > 0.0)) {
-    return "link_bytes_per_cycle must be > 0";
-  }
-  if (!(intra_link_bytes_per_cycle > 0.0)) {
-    return "intra_link_bytes_per_cycle must be > 0";
-  }
-  if (!(inter_link_bytes_per_cycle > 0.0)) {
-    return "inter_link_bytes_per_cycle must be > 0";
+  // !(x > 0) instead of x <= 0: a NaN bandwidth must fail too. A full
+  // packet's serialization time is converted to integral Cycles, so it
+  // must stay below 2^53 (exact in a double, far inside the Cycles range).
+  const double packet = static_cast<double>(mtu_payload_bytes) +
+                        static_cast<double>(packet_header_bytes);
+  const std::pair<const char*, double> bandwidths[] = {
+      {"link_bytes_per_cycle", link_bytes_per_cycle},
+      {"intra_link_bytes_per_cycle", intra_link_bytes_per_cycle},
+      {"inter_link_bytes_per_cycle", inter_link_bytes_per_cycle}};
+  for (const auto& [name, bw] : bandwidths) {
+    if (!(bw > 0.0)) return std::string(name) + " must be > 0";
+    if (!(packet / bw < 0x1p53)) {
+      return std::string(name) +
+             " is too small: a full packet would take 2^53 cycles or more";
+    }
   }
   if (wire_latency_cycles == 0) return "wire_latency_cycles must be nonzero";
   if (intra_hop_latency_cycles == 0) {

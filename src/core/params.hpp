@@ -116,6 +116,9 @@ struct ArchParams {
   /// Sanity-check the cache geometries (CacheParams::validate) and the
   /// divisors and latency floors the network layer relies on: every link
   /// bandwidth must be > 0 (transmit() and each topology hop divide by it)
+  /// and large enough that a full packet, (mtu_payload_bytes +
+  /// packet_header_bytes) / bandwidth, takes fewer than 2^53 cycles (the
+  /// quotient is converted to Cycles, which a larger one would overflow),
   /// and every wire/hop latency nonzero (delivery events must land strictly
   /// in the future, as the wire band requires).
   /// Returns an empty string when valid, a diagnostic naming the offending

@@ -25,6 +25,9 @@ namespace svmsim::engine::detail {
 //    minimum, so it fires on the very next wire fire — unless deferral
 //    pushed the band head past a pending (time, seq) event, which is why
 //    callers re-compare band priority after arbitration.
+//
+// Arbitration rewrites the (when, defer) of POD heap entries and re-heapifies
+// them; the actions stay in their pooled nodes.
 // ---------------------------------------------------------------------------
 
 bool arbitrate_wire(std::vector<WireEvent>& wire, WireArbiter& arb) {
@@ -334,18 +337,21 @@ void TieredScheduler::fire_heap() {
 void TieredScheduler::schedule_wire(Cycles when, std::uint64_t key,
                                     Action action) {
   assert(when > now_ && "wire events must be strictly in the future");
-  wire_.push_back(WireEvent{when, key, 0, std::move(action)});
+  // The action moves once, into a pooled node; heap sifts move the 32-byte
+  // POD entry only. No seq: the band orders by (when, defer, key).
+  wire_.push_back(WireEvent{when, key, 0, take(std::move(action))});
   std::push_heap(wire_.begin(), wire_.end(), WireFiresLater{});
 }
 
 void TieredScheduler::fire_wire() {
   std::pop_heap(wire_.begin(), wire_.end(), WireFiresLater{});
-  WireEvent ev = std::move(wire_.back());
+  const WireEvent ev = wire_.back();
   wire_.pop_back();
   now_ = ev.when;
   ++fired_;
   if (arbiter_ != nullptr) [[unlikely]] arbiter_->on_wire_fire(ev.key);
-  ev.action();
+  ev.node->action();  // in place, like fire_lane
+  release(ev.node);
 }
 
 void TieredScheduler::fire_next() {
@@ -428,6 +434,7 @@ void TieredScheduler::clear() noexcept {
   lane_size_ = 0;
   for (Node* n : heap_) release(n);
   heap_.clear();
+  for (const WireEvent& e : wire_) release(e.node);
   wire_.clear();
   if (wheel_count_ > 0) {
     for (int level = 0; level < kLevels; ++level) {

@@ -14,10 +14,12 @@
 // wheel cursor). No comparator runs on the hot path.
 //
 // Hot-path notes: callbacks are stored in a small-buffer-optimized
-// InlineAction (no per-event heap allocation for typical captures) and
-// drained storage is recycled through a thread-local spare slot so
-// back-to-back simulations on one thread skip the allocator warm-up
-// entirely.
+// InlineAction (no per-event heap allocation for typical captures) inside
+// pooled event nodes that never move: every tier, the wire band included,
+// moves node pointers or 32-byte POD heap entries, so an action is moved
+// once when it is scheduled and runs in place. Drained storage is recycled
+// through a thread-local spare slot so back-to-back simulations on one
+// thread skip the allocator warm-up entirely.
 //
 // Wire band: besides the (time, seq) order, the scheduler carries a second
 // priority class for cross-node packet deliveries, scheduled with
@@ -34,6 +36,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "engine/inline_function.hpp"
@@ -75,6 +78,17 @@ class WireArbiter {
 
 namespace detail {
 
+/// A pooled event node: 24 bytes of ordering/link state + the 48-byte
+/// inline action. Nodes never move once placed — tiers relink pointers, and
+/// the wire band orders POD entries that point at them. A wire node's
+/// `when`/`seq` are unused (its WireEvent carries the order).
+struct EventNode {
+  Cycles when = 0;
+  std::uint64_t seq = 0;
+  EventNode* next = nullptr;
+  BasicInlineAction<24> action;
+};
+
 /// A wire-band event: a cross-node packet delivery ordered by (time, defer,
 /// key) instead of (time, seq). See the file comment for why the key is
 /// content-derived. `defer` is 0 everywhere except under a WireArbiter,
@@ -82,13 +96,16 @@ namespace detail {
 /// would have fired before it — default runs never produce a nonzero defer,
 /// so (time, key) remains the observable order. Wire events are always
 /// strictly in the future (the network's latency floor is >= 1 cycle),
-/// which schedule_wire() asserts.
+/// which schedule_wire() asserts. The entry is a trivially copyable heap
+/// key; the action stays put in its pooled `node`.
 struct WireEvent {
   Cycles when = 0;
   std::uint64_t key = 0;
   std::uint32_t defer = 0;
-  BasicInlineAction<24> action;
+  EventNode* node = nullptr;
 };
+static_assert(sizeof(WireEvent) == 32);
+static_assert(std::is_trivially_copyable_v<WireEvent>);
 
 /// Heap comparator for the wire band: "a fires later than b" by
 /// (time, defer, key).
@@ -212,14 +229,7 @@ class TieredScheduler {
   static constexpr Cycles kSlotMask = kSlots - 1;
   static constexpr std::size_t kWords = kSlots / 64;  // occupancy bitmap
 
-  /// A pooled event node: 24 bytes of ordering/link state + the 48-byte
-  /// inline action. Nodes never move once placed — tiers relink pointers.
-  struct Node {
-    Cycles when = 0;
-    std::uint64_t seq = 0;
-    Node* next = nullptr;
-    Action action;
-  };
+  using Node = EventNode;
 
   /// A FIFO of nodes (slot or lane); append is O(1), splice is O(1).
   struct List {
@@ -246,14 +256,21 @@ class TieredScheduler {
     return lane_.head == nullptr || lane_.head->when == now_;
   }
 
-  [[nodiscard]] Node* acquire(Cycles when, Action&& action) {
+  /// Take a node off the pool holding `action` (the one move it makes).
+  [[nodiscard]] Node* take(Action&& action) {
     if (free_ == nullptr) [[unlikely]] refill();
     Node* n = free_;
     free_ = n->next;
-    n->when = when;
-    n->seq = next_seq_++;
     n->next = nullptr;
     n->action = std::move(action);
+    return n;
+  }
+
+  /// A (time, seq)-band node: take() plus its place in that order.
+  [[nodiscard]] Node* acquire(Cycles when, Action&& action) {
+    Node* n = take(std::move(action));
+    n->when = when;
+    n->seq = next_seq_++;
     return n;
   }
 
@@ -312,6 +329,7 @@ class TieredScheduler {
   std::uint64_t bits_[kLevels][kWords] = {};
   std::vector<Node*> heap_;           // tier 3: overflow/out-of-band heap
   std::vector<WireEvent> wire_;       // wire band: min-heap (when, defer, key)
+                                      // over pooled nodes
   WireArbiter* arbiter_ = nullptr;
   Cycles now_ = 0;
   Cycles cursor_ = 0;                 // first time not yet swept to the lane

@@ -5,10 +5,11 @@
 // BasicInlineAction stores callables up to `Capacity` bytes inline and
 // dispatches through plain function pointers, falling back to a single heap
 // allocation only for oversized, over-aligned or throwing-move captures.
-// Relocation (the operation heap sifts perform on every event move) is a
-// fixed-size memcpy for trivially copyable and heap-backed callables —
-// only non-trivial inline captures pay an indirect call to a per-type
-// manager, so moving events around the heap vector stays branch-light.
+// The event queue moves an action once, into a pooled event node, and runs
+// it there: no tier or heap sift relocates it (the wire band's heap orders
+// POD entries that point at the nodes). That one move is a fixed-size
+// memcpy for trivially copyable and heap-backed callables; only
+// non-trivial inline captures pay an indirect call to a per-type manager.
 #pragma once
 
 #include <cassert>

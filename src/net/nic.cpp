@@ -189,6 +189,10 @@ void Network::transmit_routed(Packet p, Cycles now) {
   const std::uint64_t key = make_wire_key(p.dst, p.src, p.nic_index,
                                           p.wire_seq);
   core::PoolRef<Hop> h = hop_pool_.acquire();
+  // route() is pure in (src, dst), so one computation serves every hop.
+  topo::Topology::RouteBuf r;
+  topo_->route(p.src, p.dst, r);
+  h->links.assign(r.link.begin(), r.link.begin() + r.hops);
   h->msg = std::move(p.msg);
   h->key = key;
   h->bytes = static_cast<std::uint32_t>(p.bytes);
@@ -198,10 +202,8 @@ void Network::transmit_routed(Packet p, Cycles now) {
 }
 
 void Network::hop(core::PoolRef<Hop> h, Cycles now) {
-  topo::Topology::RouteBuf r;
-  topo_->route(wire_key_src(h->key), wire_key_dst(h->key), r);
-  topo::Link& L =
-      topo_->link(r.link[static_cast<std::size_t>(h->next)]);
+  const topo::LinkId id = h->links[h->next];
+  topo::Link& L = topo_->link(id);
   // FIFO link serialization: same truncating bytes/bandwidth formula as the
   // legacy path, queued behind the link's committed backlog.
   const auto ser = static_cast<Cycles>(static_cast<double>(h->bytes) /
@@ -214,13 +216,12 @@ void Network::hop(core::PoolRef<Hop> h, Cycles now) {
   L.busy_cycles += ser;
   L.wait_cycles += waited;
   L.bytes += h->bytes;
-  SVMSIM_PROBE(*sim_, kLinkHop, -1, L.owner,
-               r.link[static_cast<std::size_t>(h->next)], waited);
+  SVMSIM_PROBE(*sim_, kLinkHop, -1, L.owner, id, waited);
   // Hop advance = queueing + serialization + link latency, strictly
   // positive as the wire band requires (every link class has latency >= 1).
   const Cycles when = done + L.latency;
   ++h->next;
-  const bool final_hop = static_cast<int>(h->next) == r.hops;
+  const bool final_hop = h->next == h->links.size();
   const std::uint64_t key = h->key;
   Action next = final_hop
                     ? Action([this, h = std::move(h)]() mutable {

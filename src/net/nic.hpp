@@ -167,22 +167,29 @@ class Network {
  private:
   /// Pooled per-packet route state for contended topologies. The wire key
   /// already encodes (dst, src, nic index, launch seq), so only the payload
-  /// ref, wire bytes, next-hop cursor and last flag ride here; a closure
-  /// over {Network*, PoolRef<Hop>, Cycles} fits the scheduler's 24-byte
-  /// inline action storage.
+  /// ref, the route (computed once per packet; the pool keeps the vector's
+  /// capacity), wire bytes, next-hop cursor and last flag ride here; a
+  /// closure over {Network*, PoolRef<Hop>, Cycles} fits the scheduler's
+  /// 24-byte inline action storage.
   struct Hop {
     MessageRef msg;
+    std::vector<topo::LinkId> links;  ///< the packet's route
     std::uint64_t key = 0;
     std::uint32_t bytes = 0;
     std::uint8_t next = 0;  ///< index of the next link on the route
     bool last = false;
-    void recycle() { msg.reset(); }
+    void recycle() {
+      msg.reset();
+      links.clear();
+    }
   };
-  /// Contended-topology transmit: serve the injection link inline, then
-  /// walk the route hop by hop as wire-band events.
+  /// Contended-topology transmit: route the packet once, serve the
+  /// injection link inline, then walk the route hop by hop as wire-band
+  /// events.
   void transmit_routed(Packet p, Cycles now);
-  /// One link traversal: FIFO-reserve the link, then schedule the next hop
-  /// (or the final delivery) at reservation end + link latency.
+  /// One link traversal: FIFO-reserve `links[next]`, then schedule the next
+  /// hop (or, past the last link, the final delivery) at reservation end +
+  /// link latency.
   void hop(core::PoolRef<Hop> h, Cycles now);
   /// Final wire event: rebuild the Packet from the key + Hop state and hand
   /// it to the receiving NI.

@@ -68,8 +68,8 @@ class Topology {
   /// diameter could exceed it (a long thin torus) reject at construction.
   static constexpr int kMaxHops = 255;
 
-  /// Allocation-free route output buffer (route() runs per hop on the
-  /// transmit hot path).
+  /// Allocation-free route output buffer (route() runs once per packet on
+  /// the transmit hot path).
   struct RouteBuf {
     std::array<LinkId, kMaxHops> link;
     int hops = 0;

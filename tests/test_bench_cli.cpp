@@ -317,6 +317,21 @@ TEST(BenchCliDeathTest, ZeroLinkBandwidthExitsWithBadArchCode) {
               "link_bytes_per_cycle must be > 0");
 }
 
+// A bandwidth so small that a full packet's serialization time overflows
+// the conversion to Cycles is rejected by name; 1e-6 still runs.
+TEST(BenchCli, OverflowingLinkBandwidthExitsWithBadArchCode) {
+  const Exit e = run_binary(SVMSIM_PAPER_BIN,
+                            "fig01_speedups --scale=tiny --apps=fft "
+                            "--link-bytes-per-cycle=1e-300");
+  EXPECT_EQ(e.code, kExitBadArch);
+  EXPECT_NE(e.err.find("link_bytes_per_cycle is too small"),
+            std::string::npos)
+      << e.err;
+  EXPECT_DOUBLE_EQ(parse({"--link-bytes-per-cycle=1e-6"})
+                       .arch.link_bytes_per_cycle,
+                   1e-6);
+}
+
 TEST(BenchCliDeathTest, ZeroWireLatencyExitsWithBadArchCode) {
   EXPECT_EXIT(parse({"--wire-latency=0"}),
               ::testing::ExitedWithCode(kExitBadArch),

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 namespace svmsim::engine {
@@ -185,6 +191,141 @@ TEST(WireBand, ClearDropsWireEvents) {
   q.clear();
   EXPECT_TRUE(q.empty());
   q.run_until_idle();
+}
+
+// Seeded differential against a reference sort: wire and (time, seq)
+// events, some scheduled from inside fired actions, must fire in (when,
+// band, key-or-seq) order, where the wire band (0) precedes the (time, seq)
+// band (1) at equal time. Every child lands after its parent in that order
+// (wire children strictly later, seq children at >= now with a larger seq),
+// so the sorted list of everything scheduled is the one correct fire order.
+TEST(WireBand, RandomMixFiresInReferenceOrder) {
+  using Entry = std::tuple<Cycles, int, std::uint64_t>;  // when, band, order
+  EventQueue q;
+  std::mt19937_64 rng(20261018);
+  std::vector<Entry> scheduled;
+  std::vector<Entry> fired;
+  std::uint64_t next_seq = 0;
+  std::uint64_t next_wire = 0;
+  int budget = 400;
+
+  std::function<void()> add;  // schedule one random event
+  add = [&] {
+    --budget;
+    // Delays span the lane, every wheel level and the overflow heap.
+    static constexpr Cycles kSpans[] = {1, 8, 300, 70000, 20000000};
+    const Cycles span = kSpans[rng() % std::size(kSpans)];
+    const bool spawn = rng() % 3 == 0;
+    if (rng() % 2 == 0) {
+      const Cycles when = q.now() + 1 + rng() % span;
+      // Distinct keys in scrambled insertion order.
+      const std::uint64_t key = (rng() % 1024) << 20 | next_wire++;
+      scheduled.emplace_back(when, 0, key);
+      q.schedule_wire(when, key, [&, e = scheduled.back(), spawn] {
+        fired.push_back(e);
+        if (spawn && budget > 0) add();
+      });
+    } else {
+      const Cycles when = q.now() + rng() % span;  // may be now()
+      scheduled.emplace_back(when, 1, next_seq++);
+      q.schedule_at(when, [&, e = scheduled.back(), spawn] {
+        fired.push_back(e);
+        if (spawn && budget > 0) add();
+      });
+    }
+  };
+  while (budget > 150) add();
+  q.run_until_idle();
+
+  ASSERT_GT(scheduled.size(), 250u);
+  std::sort(scheduled.begin(), scheduled.end());
+  EXPECT_EQ(fired, scheduled);
+  EXPECT_EQ(q.events_fired(), scheduled.size());
+}
+
+// A wire action's capture is destroyed exactly once: after it runs, or
+// when clear() (or the queue's destructor) drops it unrun. Covers inline
+// and heap-stored captures.
+TEST(WireBand, ActionCaptureIsDestroyedExactlyOnce) {
+  struct Counted {
+    int* destroyed;
+    bool live = true;
+    explicit Counted(int* d) : destroyed(d) {}
+    Counted(Counted&& o) noexcept
+        : destroyed(o.destroyed), live(std::exchange(o.live, false)) {}
+    ~Counted() {
+      if (live) ++*destroyed;
+    }
+  };
+  struct Big {
+    char pad[64] = {};
+  };
+  int destroyed = 0;
+  int ran = 0;
+  {
+    EventQueue q;
+    for (Cycles t = 1; t <= 6; ++t) {
+      q.schedule_wire(t, t, [c = Counted(&destroyed), &ran] { ++ran; });
+      q.schedule_wire(t, 100 + t,
+                      [c = Counted(&destroyed), b = Big{}, &ran] {
+                        (void)b;
+                        ++ran;
+                      });
+    }
+    EXPECT_FALSE(q.run_until(2));
+    EXPECT_EQ(ran, 4);
+    EXPECT_EQ(destroyed, 4);  // fired captures die at release, not later
+    q.clear();
+    EXPECT_EQ(destroyed, 12);
+    EXPECT_TRUE(q.empty());
+    q.schedule_wire(9, 1, [c = Counted(&destroyed), &ran] { ++ran; });
+  }  // the destructor drops the last one
+  EXPECT_EQ(ran, 4);
+  EXPECT_EQ(destroyed, 13);
+}
+
+// A scripted WireArbiter over three channels. Channel c's keys are
+// c << 32 | n (net/wire_key.hpp). Default order: C0@9, A0@10, B0@10, C1@10,
+// A1@11; the heads offered are C0, A0, B0, and the script picks B0 (2). The
+// displaced C0 and A0 follow it in their original order, C1 is pulled
+// behind C0 (per-channel FIFO at the chosen instant), and the (time, seq)
+// event at 10 still fires after the whole band at 10.
+TEST(WireBand, ScriptedArbiterPicksThirdChannel) {
+  constexpr std::uint64_t kA = 1ull << 32, kB = 2ull << 32, kC = 3ull << 32;
+  struct Script : WireArbiter {
+    std::vector<std::vector<std::uint64_t>> offered;
+    std::vector<std::uint64_t> observed;
+    std::size_t choose_wire(const WireChoice* alts, std::size_t n) override {
+      std::vector<std::uint64_t> keys;
+      for (std::size_t i = 0; i < n; ++i) keys.push_back(alts[i].key);
+      offered.push_back(keys);
+      return offered.size() == 1 ? 2 : 0;
+    }
+    void on_wire_fire(std::uint64_t key) override { observed.push_back(key); }
+  } arb;
+  EventQueue q;
+  q.set_wire_arbiter(&arb);
+  std::vector<std::string> order;
+  auto wire = [&](Cycles when, std::uint64_t key, const char* name) {
+    q.schedule_wire(when, key, [&order, name] { order.push_back(name); });
+  };
+  wire(10, kC | 1, "C1");
+  wire(11, kA | 1, "A1");
+  wire(10, kB | 0, "B0");
+  wire(9, kC | 0, "C0");
+  wire(10, kA | 0, "A0");
+  q.schedule_at(10, [&order] { order.push_back("seq@10"); });
+  q.run_until_idle();
+
+  EXPECT_EQ(order, (std::vector<std::string>{"B0", "C0", "A0", "C1",
+                                             "seq@10", "A1"}));
+  ASSERT_FALSE(arb.offered.empty());
+  EXPECT_EQ(arb.offered[0], (std::vector<std::uint64_t>{kC | 0, kA | 0,
+                                                        kB | 0}));
+  EXPECT_EQ(arb.observed, (std::vector<std::uint64_t>{
+                              kB | 0, kC | 0, kA | 0, kC | 1, kA | 1}));
+  EXPECT_EQ(q.events_fired(), 6u);
+  EXPECT_EQ(q.now(), 11u);
 }
 
 #ifndef NDEBUG

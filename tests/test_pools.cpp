@@ -14,6 +14,7 @@
 #include "engine/task.hpp"
 #include "svm/payload.hpp"
 #include "svm/pools.hpp"
+#include "topo/spec.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter (whole binary). Only windows read it; absolute
@@ -210,11 +211,8 @@ TEST(ProtocolPools, BodiesCascadeBackOnRelease) {
 // ---------------------------------------------------------------------------
 
 #if !defined(SVMSIM_POOL_PARANOID) && !defined(SVMSIM_NO_FRAME_POOL)
-TEST(SteadyState, BarrierLoopWindowAllocatesNothing) {
-  // Two nodes exchanging hierarchical barriers exercise the full messaging
-  // stack (bodies, NIC packets, transmit closures, trigger episodes). After
-  // a warm-up, a window of whole-system activity must not touch the heap.
-  SimConfig cfg = config_with(4, 2);
+/// Heap allocations in the second half of a 30-round barrier loop on `cfg`.
+std::uint64_t barrier_window_allocs(const SimConfig& cfg) {
   std::uint64_t at_warm = 0, at_end = 0;
   LambdaWorkload w(
       "barrier-steady-state", nullptr,
@@ -231,9 +229,22 @@ TEST(SteadyState, BarrierLoopWindowAllocatesNothing) {
         }
       });
   run(w, cfg);
-  EXPECT_EQ(at_end - at_warm, 0u)
-      << "steady-state barrier window allocated " << (at_end - at_warm)
-      << " times";
+  return at_end - at_warm;
+}
+
+TEST(SteadyState, BarrierLoopWindowAllocatesNothing) {
+  // Two nodes exchanging hierarchical barriers exercise the full messaging
+  // stack (bodies, NIC packets, transmit closures, trigger episodes). After
+  // a warm-up, a window of whole-system activity must not touch the heap.
+  EXPECT_EQ(barrier_window_allocs(config_with(4, 2)), 0u);
+}
+
+TEST(SteadyState, ContendedBarrierLoopWindowAllocatesNothing) {
+  // The same window on a 2x2 torus adds the hop pipeline: pooled wire-band
+  // nodes, the Hop records and their route capacity, and the wire heap.
+  SimConfig cfg = config_with(8, 2);
+  cfg.topology = *topo::Spec::parse("torus:2x2");
+  EXPECT_EQ(barrier_window_allocs(cfg), 0u);
 }
 #endif
 

@@ -7,6 +7,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "apps/registry.hpp"
 #include "core/machine.hpp"
@@ -192,6 +193,23 @@ TEST(TopoMachine, RejectsInvalidArchParams) {
   cfg = SimConfig{};
   cfg.arch.intra_link_bytes_per_cycle = -1.0;
   EXPECT_THROW(Machine{cfg}, std::invalid_argument);
+  // A full packet, (mtu_payload_bytes + packet_header_bytes) / bandwidth,
+  // must serialize in fewer than 2^53 cycles on each link class; 1e-6
+  // bytes/cycle (about 4e9 cycles for the default 4128-byte packet) does.
+  for (double ArchParams::*bw : {&ArchParams::intra_link_bytes_per_cycle,
+                                 &ArchParams::inter_link_bytes_per_cycle}) {
+    cfg = SimConfig{};
+    cfg.arch.*bw = 1e-300;
+    EXPECT_THROW(Machine{cfg}, std::invalid_argument);
+    EXPECT_NE(cfg.arch.validate().find("is too small"), std::string::npos);
+    cfg.arch.*bw = 1e-6;
+    EXPECT_EQ(cfg.arch.validate(), "");
+  }
+  cfg = SimConfig{};
+  cfg.arch.inter_link_bytes_per_cycle = 4128.0 / 0x1p53;  // exactly 2^53
+  EXPECT_EQ(cfg.arch.validate(),
+            "inter_link_bytes_per_cycle is too small: a full packet would "
+            "take 2^53 cycles or more");
 }
 
 TEST(TopoMachine, RejectsUnfittingTopology) {

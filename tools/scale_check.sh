@@ -20,6 +20,12 @@
 # holds on any machine; a synchronization path whose host cost grows with
 # the machine size drags it down.
 #
+# For every size it also prints, without gating on it, the host time of
+# each contended dump relative to the crossbar dump ("host ratio
+# <topo>/crossbar"), from the one run of each dump the validation makes:
+# the host cost of the topology hop pipeline. It is a single run on a
+# possibly shared host, so read it as a rough figure.
+#
 #   tools/scale_check.sh <build_dir> <procs...>
 #
 #   build_dir   an already-built default tree
@@ -76,13 +82,17 @@ eps() {
 
 for procs in "$@"; do
   nodes=$((procs / 4))
+  crossbar_wall=""
   for topo in crossbar "$(fat_tree "$nodes")" "$(torus "$nodes")"; do
     tag="$procs-${topo//:/-}"
+    t0="$(now)"
     if ! "$dump" --apps=stress-gen@3 --procs="$procs" --topology="$topo" \
         > "$out_dir/dump-$tag.txt"; then
       echo "scale_check: $topo at $procs procs: sweep_dump failed" >&2
       exit 1
     fi
+    t1="$(now)"
+    wall="$(awk -v a="$t0" -v b="$t1" 'BEGIN { print b - a }')"
     if [ "$topo" != crossbar ] &&
         ! grep -q '^  link' "$out_dir/dump-$tag.txt"; then
       echo "scale_check: $topo at $procs procs: no per-link lines" >&2
@@ -90,6 +100,13 @@ for procs in "$@"; do
     fi
     echo "scale_check: $procs procs, $topo: validated" \
          "($(wc -l < "$out_dir/dump-$tag.txt") lines)"
+    if [ "$topo" = crossbar ]; then
+      crossbar_wall="$wall"
+    else
+      echo "scale_check: $procs procs, host ratio $topo/crossbar" \
+           "$(awk -v w="$wall" -v c="$crossbar_wall" \
+                'BEGIN { printf "%.2f", w / c }')"
+    fi
   done
 done
 
